@@ -27,16 +27,15 @@ from repro.deploy.image import ModelImage
 class ImageInterpreter:
     """Runs a (batch, 49, 10) MFCC tensor through a packed model image."""
 
-    def __init__(self, image: ModelImage, cache: bool = True, kernel=None) -> None:
+    def __init__(self, image: ModelImage, cache: bool = True) -> None:
         # Deferred import: repro.serving.packed imports repro.deploy.image,
         # so a module-level import would cycle through the package inits.
         from repro.serving.packed import PackedModel
 
-        self._packed = PackedModel(image, cache=cache, kernel=kernel)
+        self._packed = PackedModel(image, cache=cache)
         self.image = image
         self.header = image.header
         self.cache = cache
-        self.kernel_backend = self._packed.kernel_backend
 
     def features(self, x: np.ndarray) -> np.ndarray:
         """Conv feature extractor: (N, T, F) → (N, width)."""

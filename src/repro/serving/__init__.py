@@ -6,14 +6,11 @@ it *fast to serve*:
 * :mod:`repro.serving.kernels`  — TNN-style bit-plane execution: ternary
   matmuls as two gather-accumulate passes over +1/−1 index planes, decoded
   once from the 2-bit blobs;
-* :mod:`repro.serving.kernels_fast` — the pluggable kernel-backend
-  registry: the fused single-pass gather backend (one concatenated index
-  plane, one gather, one reduceat, signed combine — with an auto-chosen
-  feature-major layout for wide layers), narrow int32 accumulation, and a
-  popcount-on-bitplanes backend for binary activations; every backend is
-  bitwise identical to the reference and selectable via
-  ``PackedModel(kernel=...)`` / ``ClusterRouter(kernel=...)`` /
-  ``$REPRO_KERNEL_BACKEND``;
+* :mod:`repro.serving.kernels_fast` — the fused single-pass gather
+  backend (one concatenated index plane, one gather, one reduceat, signed
+  combine — with an auto-chosen feature-major layout for wide layers),
+  bitwise identical to the reference and the default; ``"reference"`` or
+  ``"fused"`` is chosen per :class:`PackedModel` (``kernel=``) only;
 * :mod:`repro.serving.packed`   — :class:`PackedModel`, the cached runtime
   (``cache=False`` reproduces the on-the-fly reference semantics bitwise);
 * :mod:`repro.serving.batching` — :class:`BatchingEngine`, coalescing
@@ -120,13 +117,7 @@ from repro.serving.kernels import TernaryPlanes, decode_planes, ternary_matmul
 from repro.serving.kernels_fast import (
     FusedBackend,
     KernelBackend,
-    NarrowBackend,
-    PopcountBackend,
     ReferenceBackend,
-    available_backends,
-    get_backend,
-    register_backend,
-    registered_backend_name,
     resolve_backend,
 )
 from repro.serving.packed import LayerPlan, PackedModel, decode_layer
@@ -233,13 +224,7 @@ __all__ = [
     "ternary_matmul",
     "FusedBackend",
     "KernelBackend",
-    "NarrowBackend",
-    "PopcountBackend",
     "ReferenceBackend",
-    "available_backends",
-    "get_backend",
-    "register_backend",
-    "registered_backend_name",
     "resolve_backend",
     "LayerPlan",
     "PackedModel",

@@ -83,7 +83,6 @@ import multiprocessing
 import os
 import threading
 import time
-import warnings
 from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass, field
@@ -108,7 +107,6 @@ from repro.serving.catalog import (
     split_key,
 )
 from repro.serving.kernels import get_kernel_profile, set_kernel_profile
-from repro.serving.kernels_fast import KernelBackend, registered_backend_name
 from repro.serving.packed import PackedModel
 from repro.serving.placement import (
     PlacementPolicy,
@@ -251,7 +249,6 @@ def _worker_main(
     config: MicroBatchConfig,
     shm_spec: Optional[Tuple[str, SlabConfig]] = None,
     worker_id: int = 0,
-    kernel: Optional[str] = None,
 ) -> None:
     """Entry point of one worker process.
 
@@ -270,12 +267,6 @@ def _worker_main(
     carries the replica id the router resolved, and a frame addressed to a
     different replica is rejected per request instead of silently served by
     the wrong plan copy.
-
-    ``kernel`` is the execution-backend name every model loaded into this
-    worker runs on (:mod:`repro.serving.kernels_fast`).  The parent pool
-    resolves it once and ships the *name* in the spawn args, so all
-    replicas of a cluster execute the same kernels regardless of the
-    workers' own environment.
     """
     models: Dict[str, PackedModel] = {}
     engines: Dict[str, BatchingEngine] = {}
@@ -301,7 +292,7 @@ def _worker_main(
                 # deterministic crash loops for the restart-backoff tests
                 os._exit(13)
             try:
-                model = PackedModel(ModelImage.from_bytes(blob), cache=True, kernel=kernel)
+                model = PackedModel(ModelImage.from_bytes(blob), cache=True)
             except Exception as exc:
                 conn.send(("load_error", name, f"{type(exc).__name__}: {exc}"))
                 return False
@@ -693,18 +684,6 @@ class WorkerPool:
     steers to another replica) rather than queueing against a corpse.
     The first crash (``free_restarts``) always respawns immediately —
     one-off crashes keep today's instant-restart behaviour.
-
-    ``kernel`` pins the execution backend every worker decodes and runs
-    models on (:mod:`repro.serving.kernels_fast`).  It is resolved to a
-    registered backend *name* eagerly — in the parent, at construction —
-    and that name rides the worker-init spawn args, so all replicas (and
-    every crash-restart replacement) execute identical kernels even if
-    the worker processes inherit a different ``$REPRO_KERNEL_BACKEND``.
-    ``None`` resolves the parent's process default.  Because only the
-    name crosses the process boundary, a :class:`KernelBackend` instance
-    is accepted only when it is the registered backend for its name —
-    anything else raises :class:`~repro.errors.ConfigError` up front
-    rather than silently running a different configuration per worker.
     """
 
     def __init__(
@@ -715,17 +694,11 @@ class WorkerPool:
         start_method: str = "spawn",
         transport: Union[SlabConfig, bool, None] = True,
         restart_backoff: Optional[RestartBackoffPolicy] = None,
-        kernel: Union[str, "KernelBackend", None] = None,
     ) -> None:
         if workers < 1:
             raise ConfigError("a worker pool needs at least 1 worker")
         self.num_workers = workers
         self.config = config or MicroBatchConfig()
-        # resolved to a plain name now: validates the choice in the parent
-        # and keeps the spawn args picklable for the spawn start method;
-        # instances that aren't the registered backend for their name are
-        # rejected — workers could only re-resolve the name, not the config
-        self.kernel = registered_backend_name(kernel)
         if transport is True:
             self._transport_config: Optional[SlabConfig] = SlabConfig()
         elif transport is False or transport is None:
@@ -852,7 +825,7 @@ class WorkerPool:
         )
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(child_conn, self.config, shm_spec, worker_id, self.kernel),
+            args=(child_conn, self.config, shm_spec, worker_id),
             name=f"cluster-worker-{worker_id}",
             daemon=True,
         )
@@ -1609,18 +1582,6 @@ class ClusterRouter:
         :class:`~repro.serving.resilience.RestartBackoffPolicy` forwarded
         to a pool built here — crash-looping workers respawn under capped
         exponential delay instead of hot-looping re-decodes.
-    kernel:
-        Execution backend every worker decodes and serves models on — a
-        :mod:`repro.serving.kernels_fast` registry name, a *registered*
-        :class:`~repro.serving.kernels_fast.KernelBackend` instance, or
-        ``None`` for the process default.  Resolved eagerly to a backend
-        *name* and forwarded to the pool built here, so the whole cluster
-        is homogeneous: every replica (including crash-restart
-        replacements) runs bitwise-identical kernels.  Instances that are
-        not the registered backend for their name (e.g. a configured
-        ``FusedBackend(layout="feature")``) are rejected with
-        :class:`~repro.errors.ConfigError` — workers re-resolve the name
-        in their own process and would silently drop the configuration.
     """
 
     def __init__(
@@ -1640,7 +1601,6 @@ class ClusterRouter:
         breakers: Union[BreakerPolicy, bool, None] = None,
         hedge: Optional[HedgePolicy] = None,
         restart_backoff: Optional[RestartBackoffPolicy] = None,
-        kernel: Union[str, KernelBackend, None] = None,
     ) -> None:
         if isinstance(workers, WorkerPool):
             if config is not None:
@@ -1648,11 +1608,6 @@ class ClusterRouter:
             if restart_backoff is not None:
                 raise ConfigError(
                     "pass restart_backoff only when the router builds its own pool "
-                    "(a prebuilt WorkerPool takes it directly)"
-                )
-            if kernel is not None:
-                raise ConfigError(
-                    "pass kernel only when the router builds its own pool "
                     "(a prebuilt WorkerPool takes it directly)"
                 )
             self.pool = workers
@@ -1663,10 +1618,7 @@ class ClusterRouter:
                 start_method=start_method,
                 transport=transport,
                 restart_backoff=restart_backoff,
-                kernel=kernel,
             )
-        #: resolved backend name every worker in the cluster executes on
-        self.kernel = self.pool.kernel
         if capacity_bytes is not None and capacity_bytes < 1:
             raise ConfigError("capacity_bytes must be >= 1 (or None for unbounded)")
         if latency_window < 1:
@@ -2959,9 +2911,9 @@ class ClusterRouter:
     def profile_kernels(self, enabled: bool = True) -> None:
         """Toggle opt-in per-kind kernel timing on every worker.
 
-        While enabled, each worker attributes its ``_plane_sums`` gather
-        passes to the active layer kind (``conv`` / ``dw`` / ``pw`` /
-        ``fc``); :meth:`kernel_profile` collects the merged breakdown.
+        While enabled, each worker attributes its gather passes to the
+        active layer kind (``conv`` / ``dw`` / ``pw`` / ``linear``);
+        :meth:`kernel_profile` collects the merged breakdown.
         Disabled (the default) the kernels pay a single global load.
         """
         self.pool.set_kernel_profiling(enabled)
@@ -3101,13 +3053,3 @@ class ClusterRouter:
             errors_by_type=errors_by_type,
             resilience=self._resilience_stats(),
         )
-
-    def stats(self) -> ClusterStats:
-        """Deprecated alias for :meth:`snapshot` (the unified stats name)."""
-        warnings.warn(
-            "ClusterRouter.stats() is deprecated; use snapshot() — the "
-            "unified stats accessor across the serving layer",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.snapshot()

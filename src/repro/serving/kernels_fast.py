@@ -1,49 +1,30 @@
-"""Pluggable fast ternary kernel backends: fused gather, narrow, popcount.
+"""The fused single-pass ternary kernel, and where a backend is chosen.
 
 The reference kernel (:mod:`repro.serving.kernels`) executes a ternary
 matmul as **two** gather-accumulate passes — one per sign plane — each
 materialising its own scratch slab and walking the activations
-independently.  This module makes the execution strategy pluggable: a
-:class:`KernelBackend` registry (``"reference"`` / ``"fused"`` /
-``"narrow"`` / ``"popcount"``) selectable per
-:class:`~repro.serving.packed.PackedModel` (``kernel=``), per cluster
-(``ClusterRouter(kernel=...)`` rides the worker-init config so every
-replica runs the same backend) or process-wide via the
-``REPRO_KERNEL_BACKEND`` environment variable.
+independently.  :class:`FusedBackend` concatenates the +/− planes into
+**one** index array at prepare time, so each matmul runs one gather, one
+``reduceat`` over ``2 × rows`` segments, and one signed combine
+(``plus_half - minus_half``) instead of two full passes and two scratch
+slabs.  Orientation is adaptive: gather-heavy shapes transpose the
+activation chunk so ``reduceat`` runs along axis 0, where every
+accumulation step is a contiguous SIMD-friendly row addition.
 
-Every backend is **bitwise identical** to the reference on the dtypes it
-accelerates — each keeps the reference's per-segment left-to-right
-summation order, so serving-stack identity guarantees survive backend
-swaps (property-tested in ``tests/test_kernels_fast.py``):
-
-* :class:`FusedBackend` — the +/− planes are concatenated into **one**
-  index array at prepare time, so each matmul runs one gather, one
-  ``reduceat`` over ``2 × rows`` segments, and one signed combine
-  (``plus_half - minus_half``) instead of two full passes and two scratch
-  slabs.  Orientation is adaptive: gather-heavy shapes transpose the
-  activation chunk so ``reduceat`` runs along axis 0, where every
-  accumulation step is a contiguous SIMD-friendly row addition — same
-  summation order, measurably faster on the gather-dominated ``linear`` /
-  ``pw`` layer kinds.
-* :class:`NarrowBackend` — fused execution plus narrow accumulation:
-  ``int64`` activations accumulate in ``int32`` when the decode-time
-  overflow bound proves it safe (exact, hence still bitwise), and an
-  explicit ``narrow_floats=True`` opt-in accumulates ``float64`` inputs in
-  ``float32`` (*not* bitwise — never registered as a default).
-* :class:`PopcountBackend` — TNN-style bit-plane execution (Alemdar et
-  al.): when the activations are exactly binary (every value 0 or 1), they
-  are packed to ``uint64`` bit planes and each plane sum becomes
-  ``popcount(x_bits & w_bits)`` — no gather scratch at all.  Non-binary
-  activations are gated off to the fused path, so the backend is safe (and
-  bitwise) everywhere.
+Two backends exist, ``"reference"`` and ``"fused"`` (the default), and
+:class:`~repro.serving.packed.PackedModel` (``kernel=``) is the one place
+that picks between them, through :func:`resolve_backend`.  The fused
+backend keeps the reference's per-segment left-to-right summation order,
+so it is **bitwise identical** on every dtype and the serving stack's
+identity guarantees hold whichever runs (property-tested in
+``tests/test_kernels_fast.py``).
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
-from typing import Dict, Tuple, Union
+from typing import Union
 
 import numpy as np
 
@@ -54,26 +35,6 @@ from repro.serving.kernels import (
     get_kernel_profile,
     ternary_matmul,
 )
-
-#: environment variable naming the process-wide default backend
-ENV_KERNEL_BACKEND = "REPRO_KERNEL_BACKEND"
-
-#: registry default when the environment does not override it
-DEFAULT_BACKEND_NAME = "fused"
-
-def _float_exact_max(dtype: np.dtype) -> int:
-    """Largest count a float dtype represents exactly (2**(mantissa+1)).
-
-    A binary-activation plane sum is an integer; above this bound the
-    reference's sequential float summation starts rounding (order-
-    dependently), so popcount execution could no longer match it bitwise.
-    """
-    return 2 ** (np.finfo(dtype).nmant + 1)
-
-
-# --------------------------------------------------------------------------- #
-# prepared plane layouts
-# --------------------------------------------------------------------------- #
 
 
 @dataclass(frozen=True)
@@ -86,9 +47,7 @@ class FusedPlanes:
     rows segment starts).  ``empty`` lists the segments with no entries —
     ``reduceat`` emits a stray element for those, which the matmul zeroes —
     with ``nonempty`` / ``nonempty_bounds`` the prepare-time complement the
-    hot path reduces over (fixed per layout, so never recomputed per call),
-    and ``max_segment`` (the longest single segment) is the decode-time
-    bound the narrow/popcount overflow checks are derived from.
+    hot path reduces over (fixed per layout, so never recomputed per call).
     """
 
     rows: int
@@ -98,7 +57,6 @@ class FusedPlanes:
     empty: np.ndarray
     nonempty: np.ndarray
     nonempty_bounds: np.ndarray
-    max_segment: int
 
     @property
     def nnz(self) -> int:
@@ -115,40 +73,6 @@ class FusedPlanes:
             + self.nonempty.nbytes
             + self.nonempty_bounds.nbytes
         )
-
-
-@dataclass(frozen=True)
-class PopcountPlanes:
-    """Fused layout plus packed ``uint64`` weight bit planes.
-
-    ``masks`` is ``(2 * rows, words)``: row ``j`` is row ``j``'s +1 column
-    bitmask, row ``rows + j`` its −1 bitmask, little-endian bit order so
-    activation planes packed the same way line up word for word.
-    """
-
-    fused: FusedPlanes
-    masks: np.ndarray
-    words: int
-
-    @property
-    def rows(self) -> int:
-        """Output rows of the ternary transform."""
-        return self.fused.rows
-
-    @property
-    def cols(self) -> int:
-        """Input columns the transform gathers over."""
-        return self.fused.cols
-
-    @property
-    def nnz(self) -> int:
-        """Non-zero weights across both sign planes."""
-        return self.fused.nnz
-
-    @property
-    def nbytes(self) -> int:
-        """Decoded footprint: fused layout + packed bit planes."""
-        return self.fused.nbytes + self.masks.nbytes
 
 
 def _fuse(planes: TernaryPlanes) -> FusedPlanes:
@@ -170,21 +94,7 @@ def _fuse(planes: TernaryPlanes) -> FusedPlanes:
         empty=np.flatnonzero(lengths == 0),
         nonempty=nonempty,
         nonempty_bounds=np.ascontiguousarray(starts[nonempty]),
-        max_segment=int(lengths.max()) if lengths.size else 0,
     )
-
-
-def _check_cols(x: np.ndarray, prepared) -> None:
-    """Reject shape mismatches with the reference kernel's message."""
-    if x.shape[1] != prepared.cols:
-        raise ValueError(
-            f"input has {x.shape[1]} features, planes expect {prepared.cols}"
-        )
-
-
-# --------------------------------------------------------------------------- #
-# backends
-# --------------------------------------------------------------------------- #
 
 
 class KernelBackend:
@@ -194,12 +104,12 @@ class KernelBackend:
     :class:`~repro.serving.packed.PackedModel` decode time) and returns the
     backend's plan-resident layout; ``matmul`` is the hot path.  Backends
     must be bitwise identical to
-    :func:`repro.serving.kernels.ternary_matmul` on every dtype they
-    accelerate, and must expose ``rows`` / ``cols`` / ``nbytes`` on the
-    prepared object so plan byte accounting stays honest.
+    :func:`repro.serving.kernels.ternary_matmul`, and must expose ``rows`` /
+    ``cols`` / ``nnz`` / ``nbytes`` on the prepared object so plan byte
+    accounting stays honest.
     """
 
-    #: registry key; subclasses override
+    #: the name profiles attribute gathers to; subclasses override
     name = "abstract"
 
     def prepare(self, planes: TernaryPlanes):
@@ -209,11 +119,6 @@ class KernelBackend:
     def matmul(self, x: np.ndarray, prepared) -> np.ndarray:
         """``x @ W.T`` against the prepared ternary layout."""
         raise NotImplementedError
-
-    def _record(self, start_s: float, profile) -> None:
-        """Attribute one fused pass to this backend in the active profile."""
-        if profile is not None:
-            profile.record_gather(time.perf_counter() - start_s, self.name)
 
 
 class ReferenceBackend(KernelBackend):
@@ -233,14 +138,14 @@ class ReferenceBackend(KernelBackend):
 class FusedBackend(KernelBackend):
     """Single-pass gather: one scratch slab, one ``reduceat``, one combine.
 
-    ``layout`` picks the gather orientation: ``"batch"`` gathers
+    The gather has two orientations.  Batch-major gathers
     ``x[chunk, indices]`` and reduces along axis 1 (the reference's
-    orientation), ``"feature"`` transposes the activation chunk and reduces
+    orientation); feature-major transposes the activation chunk and reduces
     along axis 0 — every accumulation step is then a contiguous row-wise
     vector add, which wins whenever the gather volume amortises the
-    transpose.  ``"auto"`` (default) chooses per call from the measured
-    heuristic: feature-major when the plane has at least as many non-zeros
-    as input columns *and* segments are long enough to vectorise.
+    transpose.  :meth:`_feature_major` chooses per plane: feature-major when
+    the plane has at least as many non-zeros as input columns *and*
+    segments are long enough to vectorise.
 
     Both orientations perform the per-segment additions in the exact same
     left-to-right order, so the choice never changes a single output bit.
@@ -248,16 +153,9 @@ class FusedBackend(KernelBackend):
 
     name = "fused"
 
-    #: ``"auto"`` needs segments at least this long before the axis-0
+    #: feature-major needs segments at least this long before the axis-0
     #: vector adds beat the reference's axis-1 scalar loop
     MIN_VECTOR_SEGMENT = 8
-
-    def __init__(self, layout: str = "auto") -> None:
-        if layout not in ("auto", "batch", "feature"):
-            raise ConfigError(
-                f"unknown fused layout {layout!r}: pick auto, batch or feature"
-            )
-        self.layout = layout
 
     def prepare(self, planes: TernaryPlanes) -> FusedPlanes:
         """Concatenate the sign planes into the single-gather layout."""
@@ -265,18 +163,20 @@ class FusedBackend(KernelBackend):
 
     def matmul(self, x: np.ndarray, prepared: FusedPlanes) -> np.ndarray:
         """One gather + one ``reduceat`` + one signed combine."""
-        _check_cols(x, prepared)
+        if x.shape[1] != prepared.cols:
+            raise ValueError(
+                f"input has {x.shape[1]} features, planes expect {prepared.cols}"
+            )
         profile = get_kernel_profile()
         start = time.perf_counter() if profile is not None else 0.0
         out = self._segment_sums(x, prepared)
         result = out[:, : prepared.rows] - out[:, prepared.rows :]
-        self._record(start, profile)
+        if profile is not None:
+            profile.record_gather(time.perf_counter() - start, self.name)
         return result
 
-    def _feature_major(self, x: np.ndarray, prepared: FusedPlanes) -> bool:
-        """The orientation heuristic (overridable via ``layout=``)."""
-        if self.layout != "auto":
-            return self.layout == "feature"
+    def _feature_major(self, prepared: FusedPlanes) -> bool:
+        """The orientation rule: gather-heavy, long-segment planes go feature-major."""
         segments = 2 * prepared.rows
         if not segments:
             return False
@@ -290,7 +190,7 @@ class FusedBackend(KernelBackend):
         segments = 2 * prepared.rows
         if prepared.nnz == 0 or x.shape[0] == 0:
             return np.zeros((x.shape[0], segments), dtype=x.dtype)
-        if self._feature_major(x, prepared):
+        if self._feature_major(prepared):
             return self._sums_feature_major(x, prepared)
         return self._sums_batch_major(x, prepared)
 
@@ -350,242 +250,32 @@ class FusedBackend(KernelBackend):
         return out
 
 
-class NarrowBackend(FusedBackend):
-    """Fused execution with narrow accumulators where exactness allows.
-
-    ``int64`` activations gather and accumulate in ``int32`` — halving
-    scratch bandwidth — whenever ``2 * max(|x|) * max_segment`` provably
-    fits, then cast back (exact, so bitwise).  The factor of 2 covers the
-    signed combine: each plane half is bounded by ``max(|x|) *
-    max_segment``, but ``plus - minus`` spans twice that.  The decode-time
-    half of the check is ``int32_amax_bound``: the largest activation
-    magnitude the longest segment (and the combine) can absorb without
-    overflow; the call-time half is one ``min()``/``max()`` pass over the
-    activations, compared in Python ints so ``INT64_MIN`` (whose ``np.abs``
-    wraps to itself) is measured exactly and stays wide.
-
-    ``narrow_floats=True`` additionally accumulates ``float64`` inputs in
-    ``float32``.  That path is **not** bitwise identical to the reference —
-    it trades mantissa bits for bandwidth — so it is a constructor opt-in,
-    never part of the registered default, and excluded from the identity
-    property tests.
-    """
-
-    name = "narrow"
-
-    def __init__(self, layout: str = "auto", narrow_floats: bool = False) -> None:
-        super().__init__(layout=layout)
-        self.narrow_floats = narrow_floats
-
-    def int32_amax_bound(self, prepared: FusedPlanes) -> int:
-        """Largest ``|x|`` the segment sums *and* the combine can absorb.
-
-        Each plane half is bounded by ``amax * max_segment``; the final
-        ``plus - minus`` doubles that, so the bound halves again — without
-        the factor of 2 the combine itself can wrap int32.
-        """
-        return int(np.iinfo(np.int32).max) // (2 * max(1, prepared.max_segment))
-
-    def matmul(self, x: np.ndarray, prepared: FusedPlanes) -> np.ndarray:
-        """Narrow when provably exact (or opted in); else fused-wide."""
-        _check_cols(x, prepared)
-        if x.dtype == np.int64 and prepared.nnz and x.size:
-            # Python-int magnitude: np.abs(INT64_MIN) wraps to INT64_MIN,
-            # which would read as negative and falsely pass the gate
-            amax = max(int(x.max()), -int(x.min()))
-            if amax <= self.int32_amax_bound(prepared):
-                narrow = super().matmul(x.astype(np.int32), prepared)
-                return narrow.astype(np.int64)
-        if self.narrow_floats and x.dtype == np.float64:
-            return super().matmul(x.astype(np.float32), prepared).astype(np.float64)
-        return super().matmul(x, prepared)
-
-
-def _popcount(words: np.ndarray) -> np.ndarray:
-    """Per-word population count, ``np.bitwise_count`` or a byte LUT."""
-    counter = getattr(np, "bitwise_count", None)
-    if counter is not None:
-        return counter(words)
-    bytes_view = words.view(np.uint8)
-    return _POPCOUNT_LUT[bytes_view].reshape(*words.shape, words.dtype.itemsize).sum(
-        axis=-1, dtype=np.int64
-    )
-
-
-#: bits-set-per-byte lookup, the ``bitwise_count`` fallback for numpy < 2
-_POPCOUNT_LUT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(
-    axis=1, dtype=np.int64
-)
-
-
-class PopcountBackend(KernelBackend):
-    """Bit-plane popcount execution for exactly-binary activations.
-
-    The ternary weights become packed ``uint64`` bitmasks at prepare time;
-    a binary activation batch packs to bit planes once per call, and every
-    plane sum is ``popcount(x_bits & mask)`` — the TNN execution model,
-    with no per-element gather at all.  The binary precondition is checked
-    exactly (`every` value 0 or 1); anything else delegates to the fused
-    path, so the backend stays bitwise identical on arbitrary inputs.
-    """
-
-    name = "popcount"
-
-    def __init__(self) -> None:
-        self._fused = FusedBackend()
-        # gated-off (non-binary) passes are still this backend's work, so
-        # the fallback records under "popcount" in the kernel profile
-        self._fused.name = self.name
-
-    def prepare(self, planes: TernaryPlanes) -> PopcountPlanes:
-        """Fused layout + packed per-row sign bitmasks."""
-        fused = _fuse(planes)
-        words = max(1, (planes.cols + 63) // 64)
-        masks = np.zeros((2 * planes.rows, words * 8), dtype=np.uint8)
-        bounds = np.append(fused.bounds, fused.nnz)
-        for segment in range(2 * planes.rows):
-            cols = fused.indices[bounds[segment] : bounds[segment + 1]]
-            if cols.size:
-                bits = np.zeros(words * 64, dtype=np.uint8)
-                bits[cols] = 1
-                masks[segment] = np.packbits(bits, bitorder="little")
-        return PopcountPlanes(fused=fused, masks=masks.view(np.uint64), words=words)
-
-    def matmul(self, x: np.ndarray, prepared: PopcountPlanes) -> np.ndarray:
-        """Popcount on bit planes when binary; fused gather otherwise."""
-        _check_cols(x, prepared)
-        if not self._binary(x, prepared):
-            return self._fused.matmul(x, prepared.fused)
-        profile = get_kernel_profile()
-        start = time.perf_counter() if profile is not None else 0.0
-        rows = prepared.rows
-        counts = np.empty((x.shape[0], 2 * rows), dtype=np.int64)
-        # pack the batch's activation bits once: (M, words) uint64
-        bits = np.zeros((x.shape[0], prepared.words * 64), dtype=np.uint8)
-        bits[:, : x.shape[1]] = x != 0
-        planes_bits = np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
-        # scratch per batch row: the (2*rows, words) AND slab, in uint64
-        chunk = gather_chunk_rows(2 * rows * prepared.words, 8)
-        for lo in range(0, x.shape[0], chunk):
-            anded = planes_bits[lo : lo + chunk, None, :] & prepared.masks[None, :, :]
-            counts[lo : lo + chunk] = _popcount(anded).sum(axis=2, dtype=np.int64)
-        plus = counts[:, :rows].astype(x.dtype)
-        minus = counts[:, rows:].astype(x.dtype)
-        result = plus - minus
-        self._record(start, profile)
-        return result
-
-    def _binary(self, x: np.ndarray, prepared: PopcountPlanes) -> bool:
-        """True when every activation is exactly 0 or 1 and counts are exact.
-
-        Float accumulators represent segment counts exactly only below
-        2**24, so a (pathologically dense) plane whose longest segment
-        could overflow that is gated off too — the reference would also be
-        summing inexactly there, but through a different order.
-        """
-        if x.size == 0 or prepared.nnz == 0:
-            return False
-        if x.dtype.kind == "f" and prepared.fused.max_segment >= _float_exact_max(x.dtype):
-            return False
-        binary = x != 0
-        return bool(np.array_equal(x, binary.astype(x.dtype)))
-
-
-# --------------------------------------------------------------------------- #
-# registry
-# --------------------------------------------------------------------------- #
-
-_REGISTRY: Dict[str, KernelBackend] = {}
-
-
-def register_backend(backend: KernelBackend, *, replace: bool = False) -> KernelBackend:
-    """Add a backend to the registry under ``backend.name``; returns it.
-
-    Registering over an existing name needs ``replace=True`` — silent
-    shadowing of a measured backend is how perf regressions hide.
-    """
-    if not replace and backend.name in _REGISTRY:
-        raise ConfigError(f"kernel backend {backend.name!r} is already registered")
-    _REGISTRY[backend.name] = backend
-    return backend
-
-
-def available_backends() -> Tuple[str, ...]:
-    """Registered backend names, registration order."""
-    return tuple(_REGISTRY)
-
-
-def get_backend(name: str) -> KernelBackend:
-    """Look up a registered backend by name."""
-    backend = _REGISTRY.get(name)
-    if backend is None:
-        raise ConfigError(
-            f"unknown kernel backend {name!r}: available {sorted(_REGISTRY)}"
-        )
-    return backend
-
-
-def default_backend_name() -> str:
-    """The process default: ``$REPRO_KERNEL_BACKEND`` or ``"fused"``."""
-    return os.environ.get(ENV_KERNEL_BACKEND) or DEFAULT_BACKEND_NAME
+#: the name table ``kernel=`` strings resolve through; backends are
+#: stateless, so one shared instance per name serves every model
+_BACKENDS = {backend.name: backend for backend in (ReferenceBackend(), FusedBackend())}
 
 
 def resolve_backend(kernel: Union[str, KernelBackend, None] = None) -> KernelBackend:
-    """Resolve a ``kernel=`` argument: instance, registered name, or default."""
+    """Resolve a ``kernel=`` argument: an instance, a backend name, or
+    ``None`` for the default, ``"fused"``."""
     if kernel is None:
-        return get_backend(default_backend_name())
+        kernel = "fused"
     if isinstance(kernel, KernelBackend):
         return kernel
-    if isinstance(kernel, str):
-        return get_backend(kernel)
-    raise ConfigError(
-        f"kernel must be a backend name or KernelBackend, got {type(kernel).__name__}"
-    )
-
-
-def registered_backend_name(kernel: Union[str, KernelBackend, None] = None) -> str:
-    """Resolve ``kernel`` to a name that re-resolves identically elsewhere.
-
-    Worker pools ship the backend across the process boundary as a registry
-    *name* (instances don't survive spawn pickling), so an instance is only
-    acceptable when it **is** the registered backend for its name — a
-    configured instance (``FusedBackend(layout="feature")``,
-    ``NarrowBackend(narrow_floats=True)``) would otherwise silently run as
-    the registered default in every worker, and an unregistered custom
-    backend would fail every model load.
-    """
-    backend = resolve_backend(kernel)
-    if isinstance(kernel, KernelBackend) and _REGISTRY.get(backend.name) is not backend:
+    if not isinstance(kernel, str):
         raise ConfigError(
-            f"worker pools ship kernel backends by registered name, and "
-            f"{backend.name!r} does not resolve back to the instance passed: "
-            "pass a registered backend name instead (workers re-resolve the "
-            "name in their own process, so a configured instance would not "
-            "survive the trip)"
+            f"kernel must be a backend name or KernelBackend, got {type(kernel).__name__}"
         )
-    return backend.name
-
-
-register_backend(ReferenceBackend())
-register_backend(FusedBackend())
-register_backend(NarrowBackend())
-register_backend(PopcountBackend())
+    backend = _BACKENDS.get(kernel)
+    if backend is None:
+        raise ConfigError(f"unknown kernel backend {kernel!r}: pick one of {sorted(_BACKENDS)}")
+    return backend
 
 
 __all__ = [
-    "ENV_KERNEL_BACKEND",
-    "DEFAULT_BACKEND_NAME",
     "FusedPlanes",
-    "PopcountPlanes",
     "KernelBackend",
     "ReferenceBackend",
     "FusedBackend",
-    "NarrowBackend",
-    "PopcountBackend",
-    "available_backends",
-    "default_backend_name",
-    "get_backend",
-    "register_backend",
-    "registered_backend_name",
     "resolve_backend",
 ]

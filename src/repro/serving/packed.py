@@ -30,7 +30,7 @@ from repro.serving.kernels import (
     decode_planes,
     get_kernel_profile,
 )
-from repro.serving.kernels_fast import KernelBackend, get_backend, resolve_backend
+from repro.serving.kernels_fast import KernelBackend, resolve_backend
 
 
 def _profiled(method):
@@ -60,8 +60,8 @@ class LayerPlan:
 
     ``wb`` / ``wc`` hold the *backend-prepared* plane layout — the plain
     CSR :class:`~repro.serving.kernels.TernaryPlanes` for the reference
-    backend, a fused or popcount layout for the fast backends — so a plan
-    only ever executes on the backend that decoded it.
+    backend, :class:`~repro.serving.kernels_fast.FusedPlanes` for the fused
+    one — so a plan only ever executes on the backend that decoded it.
     """
 
     kind: str  # "conv" | "dw" | "pw" | "linear"
@@ -91,7 +91,7 @@ def decode_layer(record: LayerRecord, backend: Optional[KernelBackend] = None) -
     planes — existing callers keep seeing ``TernaryPlanes`` on the plan.
     """
     if backend is None:
-        backend = get_backend("reference")
+        backend = resolve_backend("reference")
     if record.kind == "dw":
         # (C, KH, KW): block-diagonal planes over the (M, C*K) patch matrix.
         c, kh, kw = record.wb_shape
@@ -135,12 +135,11 @@ class PackedModel:
 
     ``cache=True`` decodes every layer once at construction; ``cache=False``
     re-decodes per call (the deploy-image reference semantics).  ``kernel``
-    selects the execution backend from the
-    :mod:`repro.serving.kernels_fast` registry — a registered name, a
+    is the one place an execution backend is chosen
+    (:mod:`repro.serving.kernels_fast`): ``"reference"``, ``"fused"``, a
     :class:`~repro.serving.kernels_fast.KernelBackend` instance, or
-    ``None`` for the process default (``$REPRO_KERNEL_BACKEND``, falling
-    back to the fused single-pass backend).  Every registered backend is
-    bitwise identical to the reference, so the choice only moves latency.
+    ``None`` for the fused default.  Both backends are bitwise identical,
+    so the choice only moves latency.
     Instances are read-only after construction and safe to share across
     threads.
     """

@@ -19,9 +19,6 @@ byte budget semantics.  ``register(name, image)`` without a version keeps
 the pre-versioning behaviour: it replaces the current version (or registers
 ``v1`` for a new name).
 
-The original count-based bound (``ModelRegistry(capacity=N)`` keeping at
-most N decoded plans) survives as a deprecated alias.
-
 All operations are thread-safe; the returned :class:`PackedModel` objects
 are immutable and may be used concurrently with registry mutation.
 """
@@ -29,7 +26,6 @@ are immutable and may be used concurrently with registry mutation.
 from __future__ import annotations
 
 import threading
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple, Union
@@ -45,7 +41,7 @@ from repro.serving.telemetry import get_registry
 #: internal registry key: (model name, version)
 ModelKey = Tuple[str, str]
 
-#: default decoded-plan budget when neither bound is given (64 MiB)
+#: default decoded-plan budget (64 MiB)
 DEFAULT_CAPACITY_BYTES = 64 * 2**20
 
 
@@ -54,7 +50,7 @@ class RegistryStats:
     """Decode-cache behaviour counters.
 
     ``resident_bytes`` tracks the current total decoded-plan footprint (it
-    never exceeds ``capacity_bytes`` in byte-budget mode) and
+    never exceeds ``capacity_bytes``) and
     ``peak_resident_bytes`` its lifetime high-water mark.
     """
 
@@ -68,40 +64,13 @@ class RegistryStats:
 class ModelRegistry:
     """Name → model image store with a byte-budgeted decoded-plan cache.
 
-    Parameters
-    ----------
-    capacity:
-        **Deprecated** count bound: keep at most this many decoded plans.
-        Retained as an alias for pre-byte-budget callers; emits a
-        :class:`DeprecationWarning`.
-    capacity_bytes:
-        Byte budget: total ``decoded_bytes()`` of resident plans never
-        exceeds this.  The default (when neither argument is given) is
-        :data:`DEFAULT_CAPACITY_BYTES`.
+    ``capacity_bytes`` is the byte budget: the total ``decoded_bytes()`` of
+    resident plans never exceeds it (default :data:`DEFAULT_CAPACITY_BYTES`).
     """
 
-    def __init__(
-        self,
-        capacity: Optional[int] = None,
-        *,
-        capacity_bytes: Optional[int] = None,
-    ) -> None:
-        if capacity is not None and capacity_bytes is not None:
-            raise ConfigError("pass either capacity (deprecated) or capacity_bytes, not both")
-        if capacity is not None:
-            warnings.warn(
-                "ModelRegistry(capacity=...) counts models and is deprecated; "
-                "use ModelRegistry(capacity_bytes=...) to budget decoded-plan bytes",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if capacity < 1:
-                raise ConfigError("registry capacity must be >= 1")
-        elif capacity_bytes is None:
-            capacity_bytes = DEFAULT_CAPACITY_BYTES
-        if capacity_bytes is not None and capacity_bytes < 1:
+    def __init__(self, *, capacity_bytes: int = DEFAULT_CAPACITY_BYTES) -> None:
+        if capacity_bytes < 1:
             raise ConfigError("registry capacity_bytes must be >= 1")
-        self.capacity = capacity
         self.capacity_bytes = capacity_bytes
         self.stats = RegistryStats()
         #: versioned bookkeeping lives in the shared catalog; entries are
@@ -254,14 +223,10 @@ class ModelRegistry:
         (larger than the whole budget) is served uncached.
         """
         cost = model.decoded_bytes()
-        if self.capacity_bytes is not None:
-            if cost > self.capacity_bytes:
-                return  # cannot fit even an empty cache; serve uncached
-            while self.stats.resident_bytes + cost > self.capacity_bytes:
-                self._evict_lru()
-        else:  # deprecated count-based mode
-            while len(self._decoded) >= self.capacity:
-                self._evict_lru()
+        if cost > self.capacity_bytes:
+            return  # cannot fit even an empty cache; serve uncached
+        while self.stats.resident_bytes + cost > self.capacity_bytes:
+            self._evict_lru()
         self._decoded[key] = model
         self._sync_resident()
         self.stats.peak_resident_bytes = max(
@@ -333,16 +298,6 @@ class ModelRegistry:
         """
         with self._lock:
             return replace(self.stats)
-
-    def stats_snapshot(self) -> RegistryStats:
-        """Deprecated alias for :meth:`snapshot` (the unified stats name)."""
-        warnings.warn(
-            "ModelRegistry.stats_snapshot() is deprecated; use snapshot() — "
-            "the unified stats accessor across the serving layer",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.snapshot()
 
     def __contains__(self, name: str) -> bool:
         """True when ``name`` is a registered model (any version)."""

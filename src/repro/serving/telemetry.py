@@ -544,10 +544,10 @@ class KernelProfile:
 
     Installed globally with :func:`profile_kernels` (or
     ``ClusterRouter.profile_kernels``); :mod:`repro.serving.packed`
-    marks the active layer kind (``conv`` / ``dw`` / ``pw`` / ``fc``)
-    and :mod:`repro.serving.kernels` attributes each ``_plane_sums``
-    gather pass to it.  ``snapshot()`` yields the per-model latency
-    breakdown the ROADMAP's kernel work is gated on.
+    marks the active layer kind (``conv`` / ``dw`` / ``pw`` / ``linear``)
+    and the kernel backend attributes each gather pass to it.
+    ``snapshot()`` yields the per-model latency breakdown the ROADMAP's
+    kernel work is gated on.
     """
 
     def __init__(self) -> None:
@@ -578,11 +578,9 @@ class KernelProfile:
         """Record one gather pass under the active layer kind.
 
         ``backend`` names the kernel backend that executed the pass
-        (``"reference"`` for the classic two-pass kernel, a
-        :mod:`repro.serving.kernels_fast` registry name otherwise); the
-        per-backend sub-rows are what lets a mixed-backend process — or a
-        cluster mid-rollout — attribute gather time to the code that spent
-        it.
+        (``"reference"`` for the two-pass kernel, ``"fused"`` for the
+        single-pass one); the per-backend sub-rows let a process serving
+        models on both attribute gather time to the code that spent it.
         """
         with self._lock:
             row = self._kinds.setdefault(

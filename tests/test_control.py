@@ -436,19 +436,3 @@ class TestControlLoop:
     def test_rejects_bad_interval(self, router):
         with pytest.raises(ConfigError):
             ControlLoop(router, interval_s=0.0)
-
-
-class TestDeprecatedAliases:
-    def test_router_stats_warns(self, images):
-        router = ClusterRouter(workers=2, transport=False)
-        router.register("hot", images["v1"])
-        with pytest.warns(DeprecationWarning, match="snapshot"):
-            stats = router.stats()
-        assert stats.current_versions == {"hot": "v1"}
-
-    def test_registry_stats_snapshot_warns(self):
-        from repro.serving import ModelRegistry
-
-        registry = ModelRegistry()
-        with pytest.warns(DeprecationWarning, match="snapshot"):
-            registry.stats_snapshot()

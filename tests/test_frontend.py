@@ -250,21 +250,6 @@ class TestByteBudgetRegistry:
         assert registry.stats.resident_bytes == 0
         assert registry.decoded_bytes() == 0
 
-    def test_count_capacity_is_deprecated_alias(self, image):
-        with pytest.warns(DeprecationWarning, match="capacity_bytes"):
-            registry = ModelRegistry(capacity=1)
-        for name in ("a", "b"):
-            registry.register(name, image)
-        registry.get("a")
-        registry.get("b")
-        assert registry.decoded_names() == ["b@v1"]
-        assert registry.stats.evictions == 1
-
     def test_constructor_validation(self):
         with pytest.raises(ConfigError):
             ModelRegistry(capacity_bytes=0)
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ConfigError):
-                ModelRegistry(capacity=0)
-        with pytest.raises(ConfigError):
-            ModelRegistry(capacity=2, capacity_bytes=100)

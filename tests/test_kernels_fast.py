@@ -1,10 +1,10 @@
-"""Pluggable kernel backends: bitwise identity, gating, cluster homogeneity.
+"""Kernel backends: bitwise identity, orientation, the cluster default.
 
 The contract under test is the one the serving stack leans on everywhere:
-every registered backend in :mod:`repro.serving.kernels_fast` produces
-**bit-for-bit** the reference kernel's output on the dtypes it supports —
-across shapes, sparsities, layouts and gather-chunk boundaries — and a
-cluster's ``kernel=`` choice survives worker spawn *and* crash restart.
+the fused backend in :mod:`repro.serving.kernels_fast` produces
+**bit-for-bit** the reference kernel's output — across shapes, sparsities,
+dtypes, gather orientations and gather-chunk boundaries — and a default
+cluster runs it in every worker, crash-restart replacements included.
 """
 
 from __future__ import annotations
@@ -24,18 +24,13 @@ from repro.serving.kernels import (
     ternary_matmul,
 )
 from repro.serving.kernels_fast import (
-    DEFAULT_BACKEND_NAME,
     FusedBackend,
     FusedPlanes,
-    KernelBackend,
-    NarrowBackend,
-    PopcountBackend,
-    available_backends,
-    default_backend_name,
-    get_backend,
-    register_backend,
+    ReferenceBackend,
     resolve_backend,
 )
+
+BACKENDS = ("reference", "fused")
 
 
 def ternary(rng: np.random.Generator, rows: int, cols: int, density: float) -> np.ndarray:
@@ -51,38 +46,47 @@ def planes_for(values: np.ndarray) -> TernaryPlanes:
     return decode_planes(blob, shape)
 
 
+def activations(rng: np.random.Generator, shape, dtype) -> np.ndarray:
+    """Random activations: scaled normals for floats, small ints otherwise."""
+    if np.issubdtype(dtype, np.floating):
+        return (rng.standard_normal(shape) * 10).astype(dtype)
+    return rng.integers(-1000, 1000, size=shape).astype(dtype)
+
+
+def tiny_model_image():
+    """The width-8 hybrid model frozen into a deploy image."""
+    from repro.core.hybrid import HybridConfig, STHybridNet
+    from repro.core.strassen import freeze_all
+    from repro.deploy import build_image
+
+    model = STHybridNet(HybridConfig(width=8), rng=0)
+    freeze_all(model)
+    model.eval()
+    return build_image(model)
+
+
 class TestRegistry:
     def test_builtin_backends_registered(self):
-        assert {"reference", "fused", "narrow", "popcount"} <= set(available_backends())
+        """The name table holds exactly the two backends."""
+        assert isinstance(resolve_backend("reference"), ReferenceBackend)
+        assert isinstance(resolve_backend("fused"), FusedBackend)
+        for name in BACKENDS:
+            assert resolve_backend(name).name == name
+        for retired in ("narrow", "popcount"):
+            with pytest.raises(ConfigError, match="unknown kernel backend"):
+                resolve_backend(retired)
 
     def test_unknown_backend_is_config_error(self):
         with pytest.raises(ConfigError, match="unknown kernel backend"):
-            get_backend("warp-drive")
+            resolve_backend("warp-drive")
 
-    def test_duplicate_registration_needs_replace(self):
-        class Dup(FusedBackend):
-            name = "fused"
-
-        with pytest.raises(ConfigError, match="already registered"):
-            register_backend(Dup())
-        register_backend(Dup(), replace=True)  # explicit shadowing allowed
-        register_backend(FusedBackend(), replace=True)  # restore
-
-    def test_resolve_precedence(self, monkeypatch):
-        assert resolve_backend("narrow").name == "narrow"
-        instance = FusedBackend(layout="batch")
+    def test_resolve_precedence(self):
+        instance = FusedBackend()
         assert resolve_backend(instance) is instance
-        monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
-        assert default_backend_name() == DEFAULT_BACKEND_NAME
-        assert resolve_backend(None).name == DEFAULT_BACKEND_NAME
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "reference")
-        assert resolve_backend(None).name == "reference"
+        assert resolve_backend(None).name == "fused"
+        assert resolve_backend("reference").name == "reference"
         with pytest.raises(ConfigError, match="kernel must be"):
             resolve_backend(3.14)
-
-    def test_bad_fused_layout_is_config_error(self):
-        with pytest.raises(ConfigError, match="unknown fused layout"):
-            FusedBackend(layout="diagonal")
 
 
 class TestDecodeValidation:
@@ -97,32 +101,32 @@ class TestDecodeValidation:
 
 
 class TestEdgeShapes:
-    """0-row / 0-col transforms must work identically on every backend."""
+    """0-row / 0-col transforms must work identically on both backends."""
 
-    @pytest.mark.parametrize("name", ["reference", "fused", "narrow", "popcount"])
+    @pytest.mark.parametrize("name", BACKENDS)
     @pytest.mark.parametrize("rows,cols", [(0, 5), (5, 0), (0, 0)])
     def test_degenerate_planes(self, name, rows, cols):
         planes = planes_for(np.zeros((rows, cols), dtype=np.int8))
         x = np.ones((3, cols), dtype=np.float32)
         want = ternary_matmul(x, planes)
-        backend = get_backend(name)
+        backend = resolve_backend(name)
         got = backend.matmul(x, backend.prepare(planes))
         assert got.shape == (3, rows)
         np.testing.assert_array_equal(got, want)
 
-    @pytest.mark.parametrize("name", ["reference", "fused", "narrow", "popcount"])
+    @pytest.mark.parametrize("name", BACKENDS)
     def test_empty_batch(self, name):
         planes = planes_for(ternary(np.random.default_rng(0), 4, 6, 0.5))
         x = np.empty((0, 6), dtype=np.float32)
-        backend = get_backend(name)
+        backend = resolve_backend(name)
         got = backend.matmul(x, backend.prepare(planes))
         assert got.shape == (0, 4)
         np.testing.assert_array_equal(got, ternary_matmul(x, planes))
 
-    @pytest.mark.parametrize("name", ["fused", "narrow", "popcount"])
+    @pytest.mark.parametrize("name", ["fused"])
     def test_feature_mismatch_matches_reference_error(self, name):
         planes = planes_for(ternary(np.random.default_rng(0), 4, 6, 0.5))
-        backend = get_backend(name)
+        backend = resolve_backend(name)
         prepared = backend.prepare(planes)
         with pytest.raises(ValueError, match="planes expect 6"):
             backend.matmul(np.ones((2, 7), dtype=np.float32), prepared)
@@ -157,14 +161,14 @@ class TestScratchBound:
         assert 1 <= chunk and peak <= budget
         np.testing.assert_array_equal(ternary_matmul(x, planes), want)
 
-    @pytest.mark.parametrize("name", ["fused", "narrow", "popcount"])
+    @pytest.mark.parametrize("name", ["fused"])
     def test_backends_identical_under_tiny_budget(self, name, monkeypatch):
         """Chunk boundaries at every few rows never change a bit."""
         rng = np.random.default_rng(4)
         planes = planes_for(ternary(rng, 12, 40, 0.6))
         x = rng.standard_normal((37, 40)).astype(np.float32)
         want = ternary_matmul(x, planes)
-        backend = get_backend(name)
+        backend = resolve_backend(name)
         prepared = backend.prepare(planes)
         monkeypatch.setattr(kernels, "GATHER_SCRATCH_BYTES", 512)
         np.testing.assert_array_equal(backend.matmul(x, prepared), want)
@@ -179,7 +183,7 @@ DTYPES = {
 
 
 class TestBitwiseIdentity:
-    """Tentpole: every backend == reference, bit for bit, on supported dtypes."""
+    """Tentpole: fused == reference, bit for bit, on every dtype."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -194,17 +198,13 @@ class TestBitwiseIdentity:
     def test_property_identity(self, rows, cols, batch, density, dtype, seed, scratch):
         rng = np.random.default_rng(seed)
         planes = planes_for(ternary(rng, rows, cols, density))
-        np_dtype = DTYPES[dtype]
-        if np.issubdtype(np_dtype, np.floating):
-            x = (rng.standard_normal((batch, cols)) * 10).astype(np_dtype)
-        else:
-            x = rng.integers(-1000, 1000, size=(batch, cols)).astype(np_dtype)
+        x = activations(rng, (batch, cols), DTYPES[dtype])
         with pytest.MonkeyPatch.context() as mp:
             if scratch is not None:
                 mp.setattr(kernels, "GATHER_SCRATCH_BYTES", scratch)
             want = ternary_matmul(x, planes)
-            for name in available_backends():
-                backend = get_backend(name)
+            for name in BACKENDS:
+                backend = resolve_backend(name)
                 got = backend.matmul(x, backend.prepare(planes))
                 assert got.dtype == want.dtype, (name, dtype)
                 np.testing.assert_array_equal(got, want, err_msg=f"{name}/{dtype}")
@@ -212,132 +212,69 @@ class TestBitwiseIdentity:
     @settings(max_examples=25, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=2**31 - 1),
-        layout=st.sampled_from(["batch", "feature"]),
+        density=st.sampled_from([0.1, 0.5, 1.0]),
+        dtype=st.sampled_from(sorted(DTYPES)),
     )
-    def test_forced_layouts_identical(self, seed, layout):
+    def test_forced_layouts_identical(self, seed, density, dtype):
         """Both fused orientations keep the exact summation order."""
         rng = np.random.default_rng(seed)
-        planes = planes_for(ternary(rng, 10, 30, 0.5))
-        x = rng.standard_normal((13, 30)).astype(np.float32)
-        backend = FusedBackend(layout=layout)
-        np.testing.assert_array_equal(
-            backend.matmul(x, backend.prepare(planes)), ternary_matmul(x, planes)
-        )
-
-    def test_binary_activations_popcount_identity(self):
-        """The popcount fast path itself (not the fallback) is bitwise."""
-        rng = np.random.default_rng(11)
-        planes = planes_for(ternary(rng, 9, 70, 0.4))
-        backend = PopcountBackend()
+        planes = planes_for(ternary(rng, 10, 30, density))
+        x = activations(rng, (13, 30), DTYPES[dtype])
+        backend = FusedBackend()
         prepared = backend.prepare(planes)
-        for np_dtype in (np.float32, np.float64, np.int64, np.int32):
-            x = (rng.random((21, 70)) < 0.5).astype(np_dtype)
-            assert backend._binary(x, prepared)  # the fast path engages
-            np.testing.assert_array_equal(
-                backend.matmul(x, prepared), ternary_matmul(x, planes)
-            )
+        batch_major = backend._sums_batch_major(x, prepared)
+        feature_major = backend._sums_feature_major(x, prepared)
+        np.testing.assert_array_equal(batch_major, feature_major)
+        combined = batch_major[:, :10] - batch_major[:, 10:]
+        np.testing.assert_array_equal(combined, ternary_matmul(x, planes))
+
+    def test_orientation_rule_picks_each_side(self):
+        """Gather-heavy, long-segment planes go feature-major; sparse ones don't."""
+        backend = FusedBackend()
+        # nnz 160 >= cols 40, and 160 // 8 segments = 20 >= MIN_VECTOR_SEGMENT
+        dense = backend.prepare(planes_for(np.ones((4, 40), dtype=np.int8)))
+        # nnz 4 < cols 40
+        sparse = backend.prepare(planes_for(np.eye(4, 40, dtype=np.int8)))
+        assert backend._feature_major(dense)
+        assert not backend._feature_major(sparse)
 
 
 class TestNarrowAccumulation:
-    def test_int64_narrows_when_provably_safe(self):
-        rng = np.random.default_rng(5)
-        planes = planes_for(ternary(rng, 8, 32, 0.7))
-        backend = NarrowBackend()
-        prepared = backend.prepare(planes)
-        bound = backend.int32_amax_bound(prepared)
-        # the bound must leave room for the signed combine (plus - minus
-        # spans twice a single plane half), not just one plane's sum
-        assert 2 * bound * prepared.max_segment <= np.iinfo(np.int32).max
-        x = rng.integers(-bound, bound + 1, size=(9, 32)).astype(np.int64)
-        got = backend.matmul(x, prepared)
-        assert got.dtype == np.int64
-        np.testing.assert_array_equal(got, ternary_matmul(x, planes))
+    """No backend narrows: int64 activations accumulate in int64 even
+    where an int32 accumulator would wrap."""
 
     def test_int64_overflow_risk_stays_wide(self):
-        """Values past the decode-time bound must not narrow (and stay exact)."""
         planes = planes_for(np.ones((1, 4), dtype=np.int8))
-        backend = NarrowBackend()
-        prepared = backend.prepare(planes)
         big = np.full((2, 4), np.iinfo(np.int32).max, dtype=np.int64)
-        got = backend.matmul(big, prepared)
-        assert got.dtype == np.int64
-        np.testing.assert_array_equal(got, ternary_matmul(big, planes))
-        assert got[0, 0] == 4 * int(np.iinfo(np.int32).max)  # would wrap in int32
+        for name in BACKENDS:
+            backend = resolve_backend(name)
+            got = backend.matmul(big, backend.prepare(planes))
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, ternary_matmul(big, planes))
+            assert got[0, 0] == 4 * int(np.iinfo(np.int32).max)  # would wrap in int32
 
     def test_signed_combine_cannot_wrap_int32(self):
-        """Regression: plus − minus can reach 2 × int32max; the gate must
-        account for it, not just bound one plane's sum."""
+        """plus − minus can reach 2 × int32max and must stay exact."""
         planes = planes_for(np.array([[1, -1]], dtype=np.int8))
-        backend = NarrowBackend()
-        prepared = backend.prepare(planes)
         i32max = int(np.iinfo(np.int32).max)
         x = np.array([[i32max, -i32max]], dtype=np.int64)
-        got = backend.matmul(x, prepared)
-        assert got.dtype == np.int64
-        np.testing.assert_array_equal(got, ternary_matmul(x, planes))
-        assert got[0, 0] == 2 * i32max  # would wrap to -2 in int32
+        for name in BACKENDS:
+            backend = resolve_backend(name)
+            got = backend.matmul(x, backend.prepare(planes))
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, ternary_matmul(x, planes))
+            assert got[0, 0] == 2 * i32max  # would wrap to -2 in int32
 
     def test_int64_min_stays_wide(self):
-        """Regression: np.abs(INT64_MIN) wraps to itself, which must not
-        read as a tiny magnitude and falsely pass the narrow gate."""
         planes = planes_for(np.array([[1, 0]], dtype=np.int8))
-        backend = NarrowBackend()
-        prepared = backend.prepare(planes)
         i64min = int(np.iinfo(np.int64).min)
         x = np.array([[i64min, 0]], dtype=np.int64)
-        got = backend.matmul(x, prepared)
-        assert got.dtype == np.int64
-        np.testing.assert_array_equal(got, ternary_matmul(x, planes))
-        assert got[0, 0] == i64min  # narrowing would have produced 0
-
-    def test_narrow_floats_is_opt_in_and_not_default(self):
-        assert NarrowBackend().narrow_floats is False
-        assert get_backend("narrow").narrow_floats is False
-        rng = np.random.default_rng(6)
-        planes = planes_for(ternary(rng, 6, 24, 0.8))
-        x = rng.standard_normal((5, 24)).astype(np.float64)
-        opted = NarrowBackend(narrow_floats=True)
-        got = opted.matmul(x, opted.prepare(planes))
-        assert got.dtype == np.float64
-        # f32 accumulation is close but deliberately NOT bitwise
-        want = ternary_matmul(x, planes)
-        np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
-        assert not np.array_equal(got, want)
-
-
-class TestPopcountGating:
-    def test_non_binary_delegates_to_fused(self):
-        rng = np.random.default_rng(8)
-        planes = planes_for(ternary(rng, 7, 20, 0.5))
-        backend = PopcountBackend()
-        prepared = backend.prepare(planes)
-        x = rng.standard_normal((6, 20)).astype(np.float32)
-        assert not backend._binary(x, prepared)
-        np.testing.assert_array_equal(
-            backend.matmul(x, prepared), ternary_matmul(x, planes)
-        )
-
-    def test_binary_with_minus_one_is_not_binary(self):
-        planes = planes_for(np.ones((2, 8), dtype=np.int8))
-        backend = PopcountBackend()
-        prepared = backend.prepare(planes)
-        x = np.array([[1, -1, 0, 1, 0, 1, 1, 0]], dtype=np.float32)
-        assert not backend._binary(x, prepared)
-        np.testing.assert_array_equal(
-            backend.matmul(x, prepared), ternary_matmul(x, planes)
-        )
-
-    def test_wide_cols_pack_past_word_boundary(self):
-        """cols > 64 spans multiple uint64 words; identity must hold."""
-        rng = np.random.default_rng(9)
-        planes = planes_for(ternary(rng, 5, 130, 0.5))
-        backend = PopcountBackend()
-        prepared = backend.prepare(planes)
-        assert prepared.words == 3
-        x = (rng.random((8, 130)) < 0.4).astype(np.float32)
-        np.testing.assert_array_equal(
-            backend.matmul(x, prepared), ternary_matmul(x, planes)
-        )
+        for name in BACKENDS:
+            backend = resolve_backend(name)
+            got = backend.matmul(x, backend.prepare(planes))
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, ternary_matmul(x, planes))
+            assert got[0, 0] == i64min
 
 
 class TestPlanAccounting:
@@ -345,11 +282,8 @@ class TestPlanAccounting:
         planes = planes_for(ternary(np.random.default_rng(10), 6, 12, 0.5))
         prepared = FusedBackend().prepare(planes)
         assert isinstance(prepared, FusedPlanes)
-        assert prepared.nnz == planes.nnz
+        assert (prepared.rows, prepared.cols, prepared.nnz) == (6, 12, planes.nnz)
         assert prepared.nbytes > 0
-        pop = PopcountBackend().prepare(planes)
-        assert pop.nbytes > prepared.nbytes  # masks ride on top
-        assert (pop.rows, pop.cols, pop.nnz) == (6, 12, planes.nnz)
 
     def test_nonempty_segments_precomputed_at_fuse_time(self):
         """The hot path reads prepare-time arrays, never re-derives them."""
@@ -366,64 +300,54 @@ class TestPlanAccounting:
         assert prepared.nonempty.size + prepared.empty.size == segments
 
     def test_packed_model_kernel_selection(self):
-        from repro.core.hybrid import HybridConfig, STHybridNet
-        from repro.core.strassen import freeze_all
-        from repro.deploy import build_image
         from repro.serving import PackedModel
 
-        model = STHybridNet(HybridConfig(width=8), rng=0)
-        freeze_all(model)
-        model.eval()
-        image = build_image(model)
+        image = tiny_model_image()
         rng = np.random.default_rng(12)
         x = rng.standard_normal((3, 49, 10)).astype(np.float32)
         want = PackedModel(image, kernel="reference")(x)
-        for name in available_backends():
+        assert PackedModel(image).kernel_backend.name == "fused"
+        for name in BACKENDS:
             packed = PackedModel(image, kernel=name)
             assert packed.kernel_backend.name == name
             np.testing.assert_array_equal(packed(x), want, err_msg=name)
             assert packed.decoded_bytes() > 0
-        custom = PackedModel(image, kernel=FusedBackend(layout="feature"))
+        custom = PackedModel(image, kernel=FusedBackend())
         np.testing.assert_array_equal(custom(x), want)
         with pytest.raises(ConfigError, match="unknown kernel backend"):
             PackedModel(image, kernel="warp-drive")
 
 
 class TestClusterKernelRoundTrip:
-    """Satellite: ``kernel=`` rides worker init and survives crash restart."""
+    """A default cluster runs the fused default in every worker, and its
+    byte accounting matches the plans the workers actually hold."""
 
     def test_kernel_survives_spawn_and_restart(self):
         import time
 
-        from repro.core.hybrid import HybridConfig, STHybridNet
-        from repro.core.strassen import freeze_all
-        from repro.deploy import build_image
         from repro.errors import WorkerCrashed
         from repro.serving import ClusterRouter, PackedModel
 
-        model = STHybridNet(HybridConfig(width=8), rng=0)
-        freeze_all(model)
-        model.eval()
-        image = build_image(model)
+        image = tiny_model_image()
         rng = np.random.default_rng(13)
         x = rng.standard_normal((49, 10)).astype(np.float32)
         want = PackedModel(image, kernel="reference")(x[None])[0]
+        plan_bytes = PackedModel(image).decoded_bytes()
 
         def observed_backends(router):
             """Backend names the workers' kernel profiles attribute to."""
             profile = router.kernel_profile()
             return {b for row in profile.values() for b in row.get("backends", {})}
 
-        # "reference" is distinct from the process default ("fused"), so the
-        # profile proves the name rode the spawn args, not the environment
-        assert default_backend_name() != "reference"
-        router = ClusterRouter(workers=1, kernel="reference")
-        assert router.kernel == "reference"
+        router = ClusterRouter(workers=1)
         router.register("m", image)
         with router:
             router.profile_kernels(True)
             np.testing.assert_array_equal(router.predict(x, model="m"), want)
-            assert observed_backends(router) == {"reference"}
+            assert observed_backends(router) == {"fused"}
+            # the parent budgets what the worker really decoded
+            assert router.snapshot().resident_bytes == plan_bytes
+            assert router.pool.ping(0)[0] == plan_bytes
 
             router.pool.inject_crash(0)
             deadline = time.monotonic() + 15.0
@@ -435,37 +359,9 @@ class TestClusterKernelRoundTrip:
                     assert time.monotonic() < deadline, "restart never came up"
                     time.sleep(0.01)
             np.testing.assert_array_equal(got, want)
-            # profiling is per-process state, so re-arm on the replacement;
-            # the replacement must have inherited the same backend name
+            # profiling is per-process state, so re-arm on the replacement
             router.profile_kernels(True)
             np.testing.assert_array_equal(router.predict(x, model="m"), want)
-            assert observed_backends(router) == {"reference"}
-
-    def test_prebuilt_pool_rejects_router_kernel(self):
-        from repro.serving import ClusterRouter, WorkerPool
-
-        pool = WorkerPool(1, kernel="narrow")
-        assert pool.kernel == "narrow"
-        with pytest.raises(ConfigError, match="pass kernel only when"):
-            ClusterRouter(pool, kernel="narrow")
-        router = ClusterRouter(pool)
-        assert router.kernel == "narrow"  # adopted from the prebuilt pool
-
-    def test_pool_rejects_unregistered_backend_instances(self):
-        """Pools ship names: a configured instance would silently run as
-        the registered default in every worker, so reject it up front."""
-        from repro.serving import ClusterRouter, WorkerPool
-
-        with pytest.raises(ConfigError, match="by registered name"):
-            WorkerPool(1, kernel=FusedBackend(layout="feature"))
-        with pytest.raises(ConfigError, match="by registered name"):
-            ClusterRouter(workers=1, kernel=NarrowBackend(narrow_floats=True))
-
-        class Custom(KernelBackend):
-            name = "custom-unregistered"
-
-        with pytest.raises(ConfigError, match="by registered name"):
-            WorkerPool(1, kernel=Custom())
-        # the registered instance itself still round-trips by identity
-        pool = WorkerPool(1, kernel=get_backend("narrow"))
-        assert pool.kernel == "narrow"
+            assert observed_backends(router) == {"fused"}
+            assert router.snapshot().resident_bytes == plan_bytes
+            assert router.pool.ping(0)[0] == plan_bytes

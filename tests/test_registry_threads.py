@@ -145,15 +145,6 @@ class TestConcurrentBudget:
 
 
 class TestDeprecatedCountCapacity:
-    def test_count_capacity_emits_deprecation_warning(self, images):
-        with pytest.warns(DeprecationWarning, match="capacity_bytes"):
-            registry = ModelRegistry(capacity=1)
-        registry.register("a", images[0])
-        registry.register("b", images[1])
-        registry.get("a")
-        registry.get("b")  # count bound: at most one decoded plan stays
-        assert registry.decoded_names() == ["b@v1"]
-
     def test_byte_budget_mode_warns_nothing(self, images):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

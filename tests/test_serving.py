@@ -468,8 +468,7 @@ class TestModelRegistry:
             ModelRegistry().remove("nope")
 
     def test_lru_eviction(self, image):
-        with pytest.warns(DeprecationWarning):  # count-based alias still works
-            registry = ModelRegistry(capacity=2)
+        registry = ModelRegistry(capacity_bytes=2 * PackedModel(image).decoded_bytes())
         for name in ("a", "b", "c"):
             registry.register(name, image)
         registry.get("a"), registry.get("b"), registry.get("c")
@@ -499,11 +498,6 @@ class TestModelRegistry:
         registry.register("kws", image)
         x = rng.standard_normal((3, 49, 10)).astype(np.float32)
         np.testing.assert_array_equal(registry.predict("kws", x), PackedModel(image)(x))
-
-    def test_capacity_validation(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ConfigError):
-                ModelRegistry(capacity=0)
 
 
 class TestStreamingThroughEngine:
