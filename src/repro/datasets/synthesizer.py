@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import List, Sequence
 
 import numpy as np
-from scipy import signal as sps
 
 from repro.audio.signal import rms_normalize
 from repro.utils.rng import SeedLike, new_rng
@@ -134,6 +133,9 @@ def _glottal_source(num_samples: int, f0: float, sample_rate: int, rng: np.rando
 
 def _resonator(x: np.ndarray, centre_hz: float, bandwidth_hz: float, sample_rate: int) -> np.ndarray:
     """Second-order all-pole resonator (one formant)."""
+    # scipy.signal costs about a second to import; only synthesis needs it
+    from scipy import signal as sps
+
     r = np.exp(-np.pi * bandwidth_hz / sample_rate)
     theta = 2.0 * np.pi * centre_hz / sample_rate
     a = np.array([1.0, -2.0 * r * np.cos(theta), r * r])

@@ -17,22 +17,20 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 import numpy as np
 
-from repro.core.hybrid.strassenified import STHybridNet
-from repro.core.strassen.layers import (
-    StrassenConv2d,
-    StrassenDepthwiseConv2d,
-    StrassenLinear,
-)
 from repro.deploy.packing import pack_ternary, unpack_ternary
 from repro.errors import ConfigError
-from repro.nn.norm import bn_scale_shift
+
+if TYPE_CHECKING:  # the build side only: parsing an image never loads the training stack
+    from repro.core.hybrid.strassenified import STHybridNet
 
 _MAGIC = b"STHY"
 _VERSION = 1
+#: magic (4 B) + little-endian uint16 version + uint32 manifest length
+_PREAMBLE_BYTES = 10
 
 
 @dataclass
@@ -132,41 +130,89 @@ class ModelImage:
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "ModelImage":
-        """Parse a blob produced by :meth:`to_bytes`."""
+        """Parse a blob produced by :meth:`to_bytes`.
+
+        Accepts only a whole image.  Raises :class:`ConfigError` on a bad
+        magic or version, a blob cut short inside its preamble or manifest,
+        a span outside the payload, payload bytes after the last span, or a
+        float table whose length disagrees with its layer's shapes.
+        """
         if blob[:4] != _MAGIC:
             raise ConfigError("not an ST-HybridNet model image (bad magic)")
-        version, manifest_len = struct.unpack("<HI", blob[4:10])
+        if len(blob) < _PREAMBLE_BYTES:
+            raise ConfigError(
+                f"truncated image: {len(blob)} bytes, shorter than the "
+                f"{_PREAMBLE_BYTES}-byte preamble"
+            )
+        version, manifest_len = struct.unpack_from("<HI", blob, 4)
         if version != _VERSION:
             raise ConfigError(f"unsupported image version {version}")
-        manifest = json.loads(blob[10 : 10 + manifest_len].decode("utf-8"))
-        payload = blob[10 + manifest_len :]
+        payload_start = _PREAMBLE_BYTES + manifest_len
+        if len(blob) < payload_start:
+            raise ConfigError(
+                f"truncated image: {len(blob)} bytes, but the manifest ends at byte {payload_start}"
+            )
+        try:
+            manifest = json.loads(blob[_PREAMBLE_BYTES:payload_start].decode("utf-8"))
+        except ValueError as exc:  # UnicodeDecodeError or json.JSONDecodeError
+            raise ConfigError(f"corrupt image manifest: {exc}") from exc
+        payload = blob[payload_start:]
+        end, end_layer = 0, None
 
-        def cut(span) -> bytes:
+        def cut(name: str, part: str, span) -> bytes:
             """Slice a (offset, length) span back out of the payload."""
+            nonlocal end, end_layer
             offset, length = span
+            if offset < 0 or length < 0 or offset + length > len(payload):
+                raise ConfigError(
+                    f"layer {name!r}: {part} span ({offset}, {length}) lies outside "
+                    f"the {len(payload)}-byte payload"
+                )
+            if offset + length >= end:
+                end, end_layer = offset + length, name
             return payload[offset : offset + length]
+
+        def table(name: str, part: str, span, count: int) -> np.ndarray:
+            """A float32 table that must hold exactly ``count`` entries."""
+            data = cut(name, part, span)
+            if len(data) != 4 * count:
+                raise ConfigError(
+                    f"layer {name!r}: {part} holds {len(data)} bytes, "
+                    f"not the {count} float32 entries its shapes need"
+                )
+            return np.frombuffer(data, dtype="<f4").copy()
 
         layers = []
         for entry in manifest["layers"]:
+            name = entry["name"]
+            wb_shape, wc_shape = tuple(entry["wb_shape"]), tuple(entry["wc_shape"])
             layers.append(
                 LayerRecord(
-                    name=entry["name"],
+                    name=name,
                     kind=entry["kind"],
                     meta=entry["meta"],
-                    wb_blob=cut(entry["wb_span"]),
-                    wb_shape=tuple(entry["wb_shape"]),
-                    wc_blob=cut(entry["wc_span"]),
-                    wc_shape=tuple(entry["wc_shape"]),
-                    a_hat=np.frombuffer(cut(entry["a_hat_span"]), dtype="<f4").copy(),
-                    out_scale=np.frombuffer(cut(entry["scale_span"]), dtype="<f4").copy(),
-                    out_shift=np.frombuffer(cut(entry["shift_span"]), dtype="<f4").copy(),
+                    wb_blob=cut(name, "wb", entry["wb_span"]),
+                    wb_shape=wb_shape,
+                    wc_blob=cut(name, "wc", entry["wc_span"]),
+                    wc_shape=wc_shape,
+                    a_hat=table(name, "a_hat", entry["a_hat_span"], wb_shape[0]),
+                    out_scale=table(name, "out_scale", entry["scale_span"], wc_shape[0]),
+                    out_shift=table(name, "out_shift", entry["shift_span"], wc_shape[0]),
                 )
+            )
+        if end != len(payload):
+            raise ConfigError(
+                f"{len(payload) - end} stray payload bytes after the last span "
+                f"(layer {end_layer!r})"
             )
         return cls(header=manifest["header"], layers=layers)
 
 
 def _conv_record(name: str, kind: str, layer, bn, meta: Dict[str, object]) -> LayerRecord:
     """Build a record for a frozen strassen layer followed by ``bn``."""
+    from repro.core.strassen.layers import StrassenDepthwiseConv2d, StrassenLinear
+    from repro.nn.norm import bn_scale_shift
+
     if layer.phase != "frozen":
         raise ConfigError(f"layer {name} must be frozen before imaging")
     if bn is not None:

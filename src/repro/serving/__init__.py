@@ -65,9 +65,10 @@ it *fast to serve*:
   cluster, shm, placement, control and streams), sampled per-request
   :class:`Trace` spans threaded through the cluster control frames
   (``trace_sample_rate=``), Prometheus / JSON-lines / chrome-trace
-  exporters with a tiny ``/metrics`` + ``/healthz`` HTTP endpoint, and
-  opt-in :class:`KernelProfile` timing of the packed kernels' gather
-  passes per layer kind;
+  exporters, and opt-in :class:`KernelProfile` timing of the packed
+  kernels' gather passes per layer kind;
+* :mod:`repro.serving.metrics_server` — :class:`TelemetryServer`, the
+  tiny ``/metrics`` + ``/healthz`` HTTP endpoint over a registry;
 * :mod:`repro.serving.resilience` — the fault-masking policy layer:
   :class:`RetryPolicy` (bounded seeded-backoff retries to a different
   replica, under a global :class:`RetryBudget`), per-worker
@@ -81,162 +82,102 @@ it *fast to serve*:
   tick-by-tick by a :class:`ChaosHarness` over the cluster's existing
   ``inject_*`` hooks, with an event log that makes two runs of the same
   plan byte-comparable.
+
+Every public name is imported from its submodule on first access
+(:pep:`562`), so ``import repro.serving.cluster`` — what each spawned
+cluster worker does — loads only the cluster's own dependencies, not the
+asyncio front door, the control plane, chaos, streams or the load
+generator.
 """
 
-from repro.serving.batching import BatchingEngine, EngineStats, MicroBatchConfig
-from repro.serving.catalog import VersionedCatalog
-from repro.serving.chaos import (
-    ChaosHarness,
-    CrashFault,
-    FaultPlan,
-    LagFault,
-    ScriptStep,
-    SlabSqueeze,
-    WorkerScript,
-)
-from repro.serving.cluster import (
-    CanarySplitStats,
-    ClusterRouter,
-    ClusterStats,
-    LatencyStats,
-    ScaleEvent,
-    WorkerPool,
-    WorkerStats,
-)
-from repro.serving.control import (
-    AutoscalePolicy,
-    Autoscaler,
-    CanaryController,
-    CanaryPolicy,
-    CanaryStatus,
-    ControlLoop,
-    ControlStats,
-)
-from repro.serving.frontend import AsyncServingFrontend
-from repro.serving.kernels import TernaryPlanes, decode_planes, ternary_matmul
-from repro.serving.kernels_fast import (
-    FusedBackend,
-    KernelBackend,
-    ReferenceBackend,
-    resolve_backend,
-)
-from repro.serving.packed import LayerPlan, PackedModel, decode_layer
-from repro.serving.placement import (
-    DeployManager,
-    DeployReport,
-    LeastLoadedPolicy,
-    PlacementPolicy,
-    ReplicaSet,
-    ReplicaStats,
-    ReplicatedPolicy,
-    StickyPolicy,
-)
-from repro.serving.priority import Priority, PriorityPolicy
-from repro.serving.registry import ModelRegistry, RegistryStats
-from repro.serving.resilience import (
-    BreakerBoard,
-    BreakerPolicy,
-    BrownoutController,
-    BrownoutPolicy,
-    BrownoutStatus,
-    CircuitBreaker,
-    HedgePolicy,
-    ResilienceStats,
-    RestartBackoffPolicy,
-    RetryBudget,
-    RetryPolicy,
-)
-from repro.serving.shm import SlabClient, SlabConfig, SlabPool
-from repro.serving.streams import (
-    ManagerStats,
-    SessionStats,
-    StreamSession,
-    StreamSessionManager,
-)
-from repro.serving.telemetry import (
-    KernelProfile,
-    MetricsRegistry,
-    TelemetryServer,
-    Trace,
-    Tracer,
-    get_registry,
-    profile_kernels,
-)
-from repro.serving import telemetry
+import importlib
 
-__all__ = [
-    "AsyncServingFrontend",
-    "AutoscalePolicy",
-    "Autoscaler",
-    "BatchingEngine",
-    "BreakerBoard",
-    "BreakerPolicy",
-    "BrownoutController",
-    "BrownoutPolicy",
-    "BrownoutStatus",
-    "CanaryController",
-    "CanaryPolicy",
-    "CanarySplitStats",
-    "CanaryStatus",
-    "ChaosHarness",
-    "CircuitBreaker",
-    "ClusterRouter",
-    "ClusterStats",
-    "ControlLoop",
-    "ControlStats",
-    "CrashFault",
-    "FaultPlan",
-    "HedgePolicy",
-    "LagFault",
-    "ResilienceStats",
-    "RestartBackoffPolicy",
-    "RetryBudget",
-    "RetryPolicy",
-    "ScriptStep",
-    "SlabSqueeze",
-    "WorkerScript",
-    "DeployManager",
-    "DeployReport",
-    "ScaleEvent",
-    "VersionedCatalog",
-    "EngineStats",
-    "LatencyStats",
-    "LeastLoadedPolicy",
-    "MicroBatchConfig",
-    "PlacementPolicy",
-    "Priority",
-    "PriorityPolicy",
-    "ReplicaSet",
-    "ReplicaStats",
-    "ReplicatedPolicy",
-    "SessionStats",
-    "ManagerStats",
-    "SlabClient",
-    "SlabConfig",
-    "SlabPool",
-    "StickyPolicy",
-    "StreamSession",
-    "StreamSessionManager",
-    "TernaryPlanes",
-    "WorkerPool",
-    "WorkerStats",
-    "decode_planes",
-    "ternary_matmul",
-    "FusedBackend",
-    "KernelBackend",
-    "ReferenceBackend",
-    "resolve_backend",
-    "LayerPlan",
-    "PackedModel",
-    "decode_layer",
-    "ModelRegistry",
-    "RegistryStats",
-    "KernelProfile",
-    "MetricsRegistry",
-    "TelemetryServer",
-    "Trace",
-    "Tracer",
-    "get_registry",
-    "profile_kernels",
-    "telemetry",
-]
+#: submodule -> the public names it exports through this package
+_EXPORTS = {
+    "batching": ("BatchingEngine", "EngineStats", "MicroBatchConfig"),
+    "catalog": ("VersionedCatalog",),
+    "chaos": (
+        "ChaosHarness",
+        "CrashFault",
+        "FaultPlan",
+        "LagFault",
+        "ScriptStep",
+        "SlabSqueeze",
+        "WorkerScript",
+    ),
+    "cluster": (
+        "CanarySplitStats",
+        "ClusterRouter",
+        "ClusterStats",
+        "LatencyStats",
+        "ScaleEvent",
+        "WorkerPool",
+        "WorkerStats",
+    ),
+    "control": (
+        "AutoscalePolicy",
+        "Autoscaler",
+        "CanaryController",
+        "CanaryPolicy",
+        "CanaryStatus",
+        "ControlLoop",
+        "ControlStats",
+    ),
+    "frontend": ("AsyncServingFrontend",),
+    "kernels": ("TernaryPlanes", "decode_planes", "ternary_matmul"),
+    "kernels_fast": ("FusedBackend", "KernelBackend", "ReferenceBackend", "resolve_backend"),
+    "metrics_server": ("TelemetryServer",),
+    "packed": ("LayerPlan", "PackedModel", "decode_layer"),
+    "placement": (
+        "DeployManager",
+        "DeployReport",
+        "LeastLoadedPolicy",
+        "PlacementPolicy",
+        "ReplicaSet",
+        "ReplicaStats",
+        "ReplicatedPolicy",
+        "StickyPolicy",
+    ),
+    "priority": ("Priority", "PriorityPolicy"),
+    "registry": ("ModelRegistry", "RegistryStats"),
+    "resilience": (
+        "BreakerBoard",
+        "BreakerPolicy",
+        "BrownoutController",
+        "BrownoutPolicy",
+        "BrownoutStatus",
+        "CircuitBreaker",
+        "HedgePolicy",
+        "ResilienceStats",
+        "RestartBackoffPolicy",
+        "RetryBudget",
+        "RetryPolicy",
+    ),
+    "shm": ("SlabClient", "SlabConfig", "SlabPool"),
+    "streams": ("ManagerStats", "SessionStats", "StreamSession", "StreamSessionManager"),
+    "telemetry": (
+        "KernelProfile",
+        "MetricsRegistry",
+        "Trace",
+        "Tracer",
+        "get_registry",
+        "profile_kernels",
+        "telemetry",  # the submodule itself
+    ),
+}
+
+_SUBMODULE = {name: submodule for submodule, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_SUBMODULE)
+
+
+def __getattr__(name: str):
+    """Import ``name``'s submodule on first access and cache the name here."""
+    submodule = _SUBMODULE.get(name)
+    if submodule is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{submodule}")
+    value = module if name == submodule else getattr(module, name)
+    globals()[name] = value
+    return value
+

@@ -53,7 +53,8 @@ from repro.serving.cluster import ClusterRouter, ClusterStats
 from repro.serving.placement import DeployManager, DeployReport
 from repro.serving.priority import Priority
 from repro.serving.resilience import ResilienceStats
-from repro.serving.telemetry import MetricsRegistry, TelemetryServer
+from repro.serving.metrics_server import TelemetryServer
+from repro.serving.telemetry import MetricsRegistry
 
 #: sentinel distinguishing "deadline_s not passed" (use the frontend default)
 #: from an explicit ``deadline_s=None`` ("this request has no deadline").

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +16,7 @@ from repro.core.hybrid import HybridConfig, STHybridNet
 from repro.core.strassen import freeze_all
 from repro.deploy import ImageInterpreter, ModelImage, build_image, pack_ternary, unpack_ternary
 from repro.errors import ConfigError, QuantizationError
+from repro.serving import ClusterRouter
 
 TERNARY_ARRAYS = arrays(
     dtype=np.float32,
@@ -105,6 +109,45 @@ class TestImage:
     def test_bad_magic_rejected(self):
         with pytest.raises(ConfigError):
             ModelImage.from_bytes(b"XXXX" + b"\x00" * 16)
+
+    @pytest.mark.parametrize("width", [8, 64])
+    def test_reserialisation_is_byte_identical(self, width):
+        model = STHybridNet(HybridConfig(width=width), rng=0)
+        freeze_all(model)
+        blob = build_image(model).to_bytes()
+        assert ModelImage.from_bytes(blob).to_bytes() == blob
+
+    def test_truncated_image_rejected(self, image):
+        blob = image.to_bytes()
+        (manifest_len,) = struct.unpack_from("<I", blob, 6)
+        for cut in range(1, 65):
+            with pytest.raises(ConfigError):
+                ModelImage.from_bytes(blob[:-cut])
+        for length in range(10 + manifest_len):
+            with pytest.raises(ConfigError):
+                ModelImage.from_bytes(blob[:length])
+        with pytest.raises(ConfigError, match="tree.theta2"):
+            ModelImage.from_bytes(blob[:-4])
+
+    def test_trailing_bytes_rejected(self, image):
+        with pytest.raises(ConfigError, match="stray payload bytes"):
+            ModelImage.from_bytes(image.to_bytes() + b"\x00")
+
+    def test_float_table_must_match_its_record(self, image):
+        layers = list(image.layers)
+        layers[0] = dataclasses.replace(layers[0], a_hat=layers[0].a_hat[:-1])
+        blob = ModelImage(header=image.header, layers=layers).to_bytes()
+        with pytest.raises(ConfigError, match="conv1.*a_hat"):
+            ModelImage.from_bytes(blob)
+        layers[0] = dataclasses.replace(image.layers[0], out_shift=image.layers[0].out_shift[:1])
+        blob = ModelImage(header=image.header, layers=layers).to_bytes()
+        with pytest.raises(ConfigError, match="conv1.*out_shift"):
+            ModelImage.from_bytes(blob)
+
+    def test_router_rejects_truncated_image_at_register(self, image):
+        router = ClusterRouter(workers=1)
+        with pytest.raises(ConfigError):
+            router.register("cut", image.to_bytes()[:-4])
 
     def test_size_accounting(self, image):
         with_scales = image.total_bytes(count_scales=True)

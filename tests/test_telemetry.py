@@ -30,13 +30,13 @@ from repro.serving import (
 )
 from repro.serving import telemetry
 from repro.serving.control import ControlLoop
+from repro.serving.metrics_server import TelemetryServer
 from repro.serving.telemetry import (
     Counter,
     Gauge,
     Histogram,
     KernelProfile,
     MetricsRegistry,
-    TelemetryServer,
     Trace,
     Tracer,
     get_registry,
