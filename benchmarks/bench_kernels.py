@@ -187,8 +187,10 @@ def _best_seconds(fn, repeats: int = 5, inner: int = 4) -> float:
 
 #: per-kind plane geometries shaped like the packed model's hot layers:
 #: (batch rows M, activation cols C, transform rows R, nonzero density).
-#: ``linear`` is the tree layers' 64-feature -> r=12 transform at serving
-#: batch; ``pw`` is a pointwise conv over its N*OH*OW patch rows; ``dw``
+#: ``linear`` is one tree node's 64-feature -> r=12 W_b at batch 256, a
+#: shape no served layer has any more: images stack all 17 depth-2 nodes
+#: into one 204-row W_b and one block-diagonal W_c, so the served tree is 2
+#: matmuls, not 34; ``pw`` is a pointwise conv over its N*OH*OW patch rows; ``dw``
 #: is the block-diagonal depthwise gather (9-tap rows in a C*K space).
 BACKEND_CASES = {
     "linear": (256, 64, 12, 0.9),

@@ -4,6 +4,11 @@ A *model image* is the flat artifact a microcontroller would flash: a JSON
 header describing the architecture, followed by, per layer, the 2-bit packed
 ternary transforms and little-endian float32 tables (â, output scale/shift).
 
+The Bonsai tree is one record (format version 2): every node's Strassen
+linear stacked by rows, θ_0..θ_{I−1}, W_0..W_{N−1}, V_0..V_{N−1}, with
+``meta["block_rows"]`` giving each node's W_c row count.  All of them read
+the same pooled features, so the whole tree is two ternary matmuls.
+
 One honest deviation from the paper's byte accounting: each conv layer
 carries an output *scale* in addition to the shift (bias), because the
 batch-norm per-channel scale cannot be absorbed into a ternary ``W_c``.  In
@@ -28,7 +33,7 @@ if TYPE_CHECKING:  # the build side only: parsing an image never loads the train
     from repro.core.hybrid.strassenified import STHybridNet
 
 _MAGIC = b"STHY"
-_VERSION = 1
+_VERSION = 2
 #: magic (4 B) + little-endian uint16 version + uint32 manifest length
 _PREAMBLE_BYTES = 10
 
@@ -134,8 +139,9 @@ class ModelImage:
 
         Accepts only a whole image.  Raises :class:`ConfigError` on a bad
         magic or version, a blob cut short inside its preamble or manifest,
-        a span outside the payload, payload bytes after the last span, or a
-        float table whose length disagrees with its layer's shapes.
+        a span outside the payload, payload bytes after the last span, a
+        2-bit blob or float table whose length disagrees with its layer's
+        shapes, or a block list that does not tile its record.
         """
         if blob[:4] != _MAGIC:
             raise ConfigError("not an ST-HybridNet model image (bad magic)")
@@ -145,6 +151,11 @@ class ModelImage:
                 f"{_PREAMBLE_BYTES}-byte preamble"
             )
         version, manifest_len = struct.unpack_from("<HI", blob, 4)
+        if version == 1:
+            raise ConfigError(
+                "image format version 1 (one record per tree node) is no longer "
+                "read; rebuild the image with repro.deploy.build_image"
+            )
         if version != _VERSION:
             raise ConfigError(f"unsupported image version {version}")
         payload_start = _PREAMBLE_BYTES + manifest_len
@@ -172,6 +183,17 @@ class ModelImage:
                 end, end_layer = offset + length, name
             return payload[offset : offset + length]
 
+        def codes(name: str, part: str, span, shape: Tuple[int, ...]) -> bytes:
+            """A 2-bit blob that must hold exactly the codes ``shape`` needs."""
+            data = cut(name, part, span)
+            count = int(np.prod(shape))
+            if len(data) != (count + 3) // 4:
+                raise ConfigError(
+                    f"layer {name!r}: {part} holds {len(data)} bytes, not the "
+                    f"{(count + 3) // 4} that {count} 2-bit weights need"
+                )
+            return data
+
         def table(name: str, part: str, span, count: int) -> np.ndarray:
             """A float32 table that must hold exactly ``count`` entries."""
             data = cut(name, part, span)
@@ -186,14 +208,16 @@ class ModelImage:
         for entry in manifest["layers"]:
             name = entry["name"]
             wb_shape, wc_shape = tuple(entry["wb_shape"]), tuple(entry["wc_shape"])
+            if "block_rows" in entry["meta"]:
+                _check_block_rows(name, entry["meta"]["block_rows"], wb_shape, wc_shape)
             layers.append(
                 LayerRecord(
                     name=name,
                     kind=entry["kind"],
                     meta=entry["meta"],
-                    wb_blob=cut(name, "wb", entry["wb_span"]),
+                    wb_blob=codes(name, "wb", entry["wb_span"], wb_shape),
                     wb_shape=wb_shape,
-                    wc_blob=cut(name, "wc", entry["wc_span"]),
+                    wc_blob=codes(name, "wc", entry["wc_span"], wc_shape),
                     wc_shape=wc_shape,
                     a_hat=table(name, "a_hat", entry["a_hat_span"], wb_shape[0]),
                     out_scale=table(name, "out_scale", entry["scale_span"], wc_shape[0]),
@@ -206,6 +230,29 @@ class ModelImage:
                 f"(layer {end_layer!r})"
             )
         return cls(header=manifest["header"], layers=layers)
+
+
+def _check_block_rows(name: str, block_rows, wb_shape, wc_shape) -> None:
+    """Reject a block list that does not tile its stacked record.
+
+    Block ``b`` owns ``wc_shape[1]`` rows of W_b and ``block_rows[b]`` rows
+    of W_c, so the counts must be positive, sum to ``wc_shape[0]``, and
+    number ``wb_shape[0] / wc_shape[1]``.
+    """
+    if not isinstance(block_rows, list) or not all(
+        isinstance(count, int) and count >= 1 for count in block_rows
+    ):
+        raise ConfigError(f"layer {name!r}: block_rows {block_rows!r} must be counts >= 1")
+    if sum(block_rows) != wc_shape[0]:
+        raise ConfigError(
+            f"layer {name!r}: block_rows sum to {sum(block_rows)}, but W_c has "
+            f"{wc_shape[0]} rows"
+        )
+    if len(block_rows) * wc_shape[1] != wb_shape[0]:
+        raise ConfigError(
+            f"layer {name!r}: {len(block_rows)} blocks of {wc_shape[1]} hidden units "
+            f"do not make W_b's {wb_shape[0]} rows"
+        )
 
 
 def _conv_record(name: str, kind: str, layer, bn, meta: Dict[str, object]) -> LayerRecord:
@@ -245,8 +292,8 @@ def build_image(model: STHybridNet) -> ModelImage:
     """Serialise a trained, frozen :class:`STHybridNet` into a model image.
 
     Batch-norm layers are folded into per-layer (scale, shift) tables; the
-    tree's node matmuls are stored as plain strassen linear records plus
-    tree topology in the header.
+    tree's node matmuls are stacked into one ``"tree"`` linear record
+    (:func:`_tree_record`), with the tree topology in the header.
     """
     cfg = model.config
     header = {
@@ -291,16 +338,35 @@ def build_image(model: STHybridNet) -> ModelImage:
                 {"stride": [1, 1], "padding": [0, 0], "relu": True},
             )
         )
-    tree = model.tree
-    for k in range(tree.num_nodes):
-        for role in ("w", "v"):
-            layer = getattr(tree, f"{role}{k}")
-            image.layers.append(
-                _conv_record(f"tree.{role}{k}", "linear", layer, None, {"relu": False})
-            )
-    for k in range(tree.num_internal):
-        layer = getattr(tree, f"theta{k}")
-        image.layers.append(
-            _conv_record(f"tree.theta{k}", "linear", layer, None, {"relu": False})
-        )
+    image.layers.append(_tree_record(model.tree))
     return image
+
+
+def _tree_record(tree) -> LayerRecord:
+    """Stack every tree node's Strassen linear into one ``"tree"`` record.
+
+    Rows run θ_0..θ_{I−1}, W_0..W_{N−1}, V_0..V_{N−1}: W_b, W_c and the
+    float tables are each node's stacked in that order, and
+    ``meta["block_rows"]`` lists each node's W_c row count (1 for θ,
+    ``num_labels`` for W and V).  The ternary weights are the per-node ones
+    back to back, so the packed size is the per-node blobs' sum whenever each
+    node's weight count is a multiple of 4 (true at 12 labels).
+    """
+    layers = [getattr(tree, f"theta{k}") for k in range(tree.num_internal)]
+    layers += [getattr(tree, f"w{k}") for k in range(tree.num_nodes)]
+    layers += [getattr(tree, f"v{k}") for k in range(tree.num_nodes)]
+    nodes = [_conv_record("tree", "linear", layer, None, {}) for layer in layers]
+    wb_blob, wb_shape = pack_ternary(np.concatenate([node.wb() for node in nodes]))
+    wc_blob, wc_shape = pack_ternary(np.concatenate([node.wc() for node in nodes]))
+    return LayerRecord(
+        name="tree",
+        kind="linear",
+        meta={"relu": False, "block_rows": [node.wc_shape[0] for node in nodes]},
+        wb_blob=wb_blob,
+        wb_shape=wb_shape,
+        wc_blob=wc_blob,
+        wc_shape=wc_shape,
+        a_hat=np.concatenate([node.a_hat for node in nodes]),
+        out_scale=np.concatenate([node.out_scale for node in nodes]),
+        out_shift=np.concatenate([node.out_shift for node in nodes]),
+    )

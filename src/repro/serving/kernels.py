@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -115,26 +115,39 @@ def decode_planes(blob: bytes, shape: Tuple[int, ...]) -> TernaryPlanes:
     )
 
 
-def as_block_diagonal(planes: TernaryPlanes, block_cols: int) -> TernaryPlanes:
-    """Re-index per-row planes into a block-diagonal column space.
+def as_block_diagonal(
+    planes: TernaryPlanes, block_cols: int, block_rows: Optional[Sequence[int]] = None
+) -> TernaryPlanes:
+    """Re-index row-stacked planes into a block-diagonal column space.
 
-    For a depthwise filter stored as (C, K) — one K-tap ternary filter per
-    channel — the gather runs over a (M, C*K) patch matrix where channel
-    ``c`` owns columns ``[c*K, (c+1)*K)``.  This shifts row ``c``'s indices
-    by ``c * block_cols`` so one gather-accumulate serves all channels.
+    Block ``b`` is ``block_rows[b]`` consecutive rows (one row per block
+    when ``block_rows`` is ``None``); its indices are shifted by
+    ``b * block_cols``, so it reads only columns
+    ``[b*block_cols, (b+1)*block_cols)`` and one gather-accumulate serves
+    every block.  A depthwise filter stored as (C, K) — one K-tap ternary
+    filter per channel — runs over a (M, C*K) patch matrix this way, and
+    the stacked tree's W_c runs each node's rows over its own ``r`` hidden
+    columns.  Each row keeps its ascending index order, so every row's
+    summation order is the unstacked one.
     """
     if planes.cols != block_cols:
         raise ValueError(f"planes have {planes.cols} cols, expected {block_cols}")
+    if block_rows is None:
+        block_rows = np.ones(planes.rows, dtype=np.intp)
+    block_rows = np.asarray(block_rows, dtype=np.intp)
+    if block_rows.sum() != planes.rows or (block_rows < 1).any():
+        raise ValueError(
+            f"block rows {block_rows.tolist()} must be >= 1 and sum to {planes.rows}"
+        )
+    row_offsets = np.repeat(np.arange(block_rows.size, dtype=np.intp) * block_cols, block_rows)
 
     def shift(indices: np.ndarray, ptr: np.ndarray) -> np.ndarray:
-        """Offset each row's indices into its own column block."""
-        counts = np.diff(ptr)
-        offsets = np.repeat(np.arange(planes.rows, dtype=np.intp) * block_cols, counts)
-        return indices + offsets
+        """Offset each row's indices into its block's columns."""
+        return indices + np.repeat(row_offsets, np.diff(ptr))
 
     return TernaryPlanes(
         rows=planes.rows,
-        cols=planes.rows * block_cols,
+        cols=block_rows.size * block_cols,
         plus_indices=shift(planes.plus_indices, planes.plus_ptr),
         plus_ptr=planes.plus_ptr,
         minus_indices=shift(planes.minus_indices, planes.minus_ptr),

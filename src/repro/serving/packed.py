@@ -11,6 +11,11 @@ unpacking, no dense float weight matrices.
 (decode on every call, nothing resident beyond the image) through the very
 same kernels, so both modes are bitwise identical; the only difference is
 when decoding happens.
+
+A forward runs two ternary matmuls per conv and pointwise layer, one per
+depthwise layer, and two for the whole Bonsai tree, whose nodes the image
+stores as one stacked record (row-stacked W_b, block-diagonal W_c): ten
+for the default three-conv-layer network.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from repro.deploy.image import LayerRecord, ModelImage
 from repro.deploy.packing import unpack_ternary
@@ -89,6 +94,9 @@ def decode_layer(record: LayerRecord, backend: Optional[KernelBackend] = None) -
     ``backend`` prepares the decoded planes into its execution layout; the
     default is the reference backend, whose prepared layout *is* the CSR
     planes — existing callers keep seeing ``TernaryPlanes`` on the plan.
+    A record with ``meta["block_rows"]`` (the stacked tree) gets a
+    block-diagonal W_c: block ``b`` reads only hidden columns
+    ``[b*r, (b+1)*r)``, its own node's.
     """
     if backend is None:
         backend = resolve_backend("reference")
@@ -103,6 +111,10 @@ def decode_layer(record: LayerRecord, backend: Optional[KernelBackend] = None) -
         kh, kw = (shape[2], shape[3]) if len(shape) == 4 else (1, 1)
         wb = decode_planes(record.wb_blob, shape)
         wc_planes = decode_planes(record.wc_blob, record.wc_shape)
+        if "block_rows" in record.meta:
+            wc_planes = as_block_diagonal(
+                wc_planes, record.wc_shape[1], record.meta["block_rows"]
+            )
         wc_vector = None
     return LayerPlan(
         kind=record.kind,
@@ -118,16 +130,35 @@ def decode_layer(record: LayerRecord, backend: Optional[KernelBackend] = None) -
 
 
 def _conv_patches(x: np.ndarray, kh: int, kw: int, stride, padding) -> np.ndarray:
-    """Extract (N, OH, OW, C*KH*KW) patch matrix with zero padding."""
+    """Extract the (N, OH, OW, C*KH*KW) patch matrix of an NCHW input.
+
+    Works on the NHWC view of ``x``, which is free for every layer output
+    here: their NCHW views sit on NHWC memory.  Padding goes into a zeroed
+    NHWC buffer and the windows are cut from it with ``as_strided``; a 1×1,
+    stride-1, unpadded (pointwise) layer's patches are the NHWC view itself,
+    with no copy.  The last axis runs channel-major, then KH, then KW — the
+    order W_b's columns are flattened in.
+    """
     sh, sw = stride
     ph, pw = padding
+    x = x.transpose(0, 2, 3, 1)
+    if (kh, kw, sh, sw, ph, pw) == (1, 1, 1, 1, 0, 0):
+        return x
+    n, h, w, c = x.shape
     if ph or pw:
-        x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    windows = sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
-    # (N, C, OH, OW, KH, KW) -> (N, OH, OW, C*KH*KW)
-    return np.ascontiguousarray(windows.transpose(0, 2, 3, 1, 4, 5)).reshape(
-        x.shape[0], windows.shape[2], windows.shape[3], -1
+        padded = np.zeros((n, h + 2 * ph, w + 2 * pw, c), dtype=x.dtype)
+        padded[:, ph : ph + h, pw : pw + w] = x
+        x = padded
+    oh = (x.shape[1] - kh) // sh + 1
+    ow = (x.shape[2] - kw) // sw + 1
+    s_n, s_h, s_w, s_c = x.strides
+    windows = as_strided(
+        x,
+        shape=(n, oh, ow, c, kh, kw),
+        strides=(s_n, s_h * sh, s_w * sw, s_c, s_h, s_w),
+        writeable=False,
     )
+    return windows.reshape(n, oh, ow, c * kh * kw)
 
 
 class PackedModel:
@@ -156,6 +187,7 @@ class PackedModel:
         self.header = image.header
         self.cache = cache
         self.kernel_backend = resolve_backend(kernel)
+        self._input_shape = tuple(image.header["input_shape"])
         self._records: Dict[str, LayerRecord] = {r.name: r for r in image.layers}
         self._plans: Optional[Dict[str, LayerPlan]] = (
             {name: decode_layer(r, self.kernel_backend) for name, r in self._records.items()}
@@ -220,10 +252,19 @@ class PackedModel:
     # -- full network ----------------------------------------------------- #
 
     def features(self, x: np.ndarray) -> np.ndarray:
-        """Conv feature extractor: (N, T, F) → (N, width)."""
+        """Conv feature extractor: (N, T, F) → (N, width).
+
+        Raises :class:`ConfigError` unless each window's (T, F) is the
+        image's ``input_shape``.
+        """
         x = np.asarray(x, dtype=np.float32)
         if x.ndim == 2:
             x = x[None]
+        if x.shape[1:] != self._input_shape:
+            raise ConfigError(
+                f"input windows have shape {x.shape[1:]}, but the image takes "
+                f"{self._input_shape} (frames, coefficients)"
+            )
         x = x[:, None, :, :]  # NCHW
         x = self._conv(self._plan("conv1"), x)
         for i in range(self.header["num_conv_layers"] - 1):
@@ -237,21 +278,27 @@ class PackedModel:
         depth = self.header["tree_depth"]
         num_nodes = 2 ** (depth + 1) - 1
         num_internal = 2**depth - 1
+        labels = self.header["num_labels"]
         sigma = self.header["prediction_sigma"]
         n = z.shape[0]
+        # one stacked matmul pair scores every node: θ_0..θ_{I−1}, W_0..W_{N−1},
+        # V_0..V_{N−1}; the routing and accumulation below keep the per-node
+        # order, so each output element is summed exactly as node by node
+        nodes = self._linear(self._plan("tree"), z)
+        w_scores = nodes[:, num_internal : num_internal + num_nodes * labels]
+        v_scores = nodes[:, num_internal + num_nodes * labels :]
 
         weights: List[np.ndarray] = [np.zeros((n, 1))] * num_nodes
         weights[0] = np.ones((n, 1), dtype=np.float32)
         for k in range(num_internal):
-            theta = self._linear(self._plan(f"tree.theta{k}"), z)
-            go_left = (theta > 0).astype(np.float32)
+            go_left = (nodes[:, k : k + 1] > 0).astype(np.float32)
             weights[2 * k + 1] = weights[k] * go_left
             weights[2 * k + 2] = weights[k] * (1.0 - go_left)
 
-        scores = np.zeros((n, self.header["num_labels"]), dtype=np.float32)
+        scores = np.zeros((n, labels), dtype=np.float32)
         for k in range(num_nodes):
-            w_score = self._linear(self._plan(f"tree.w{k}"), z)
-            v_score = self._linear(self._plan(f"tree.v{k}"), z)
+            w_score = w_scores[:, k * labels : (k + 1) * labels]
+            v_score = v_scores[:, k * labels : (k + 1) * labels]
             scores += weights[k] * w_score * np.tanh(sigma * v_score)
         return scores
 

@@ -85,11 +85,14 @@ def image(frozen_model):
 class TestImage:
     def test_layer_inventory(self, image):
         names = [record.name for record in image.layers]
-        assert "conv1" in names
-        assert "ds0.dw" in names and "ds1.pw" in names
-        assert "tree.w0" in names and "tree.theta2" in names
-        # conv1 + 2x(dw+pw) + 14 node matmuls + 3 thetas
-        assert len(names) == 1 + 4 + 14 + 3
+        assert names == ["conv1", "ds0.dw", "ds0.pw", "ds1.dw", "ds1.pw", "tree"]
+        # the whole tree is one stacked linear: 3 thetas (one W_c row each),
+        # then 7 W and 7 V nodes (num_labels rows each), r = 12 hidden apiece
+        tree = image.layer("tree")
+        assert tree.kind == "linear"
+        assert tree.meta["block_rows"] == [1] * 3 + [12] * 14
+        assert tree.wb_shape == (17 * 12, 8) and tree.wc_shape == (3 + 14 * 12, 12)
+        assert tree.a_hat.size == 17 * 12 and tree.out_shift.size == 3 + 14 * 12
 
     def test_requires_frozen(self):
         model = STHybridNet(HybridConfig(width=8), rng=0)  # still full-precision
@@ -126,8 +129,46 @@ class TestImage:
         for length in range(10 + manifest_len):
             with pytest.raises(ConfigError):
                 ModelImage.from_bytes(blob[:length])
-        with pytest.raises(ConfigError, match="tree.theta2"):
+        with pytest.raises(ConfigError, match="'tree'"):
             ModelImage.from_bytes(blob[:-4])
+
+    def test_version_one_image_rejected(self, image):
+        blob = bytearray(image.to_bytes())
+        struct.pack_into("<H", blob, 4, 1)
+        with pytest.raises(ConfigError, match="rebuild the image with repro.deploy.build_image"):
+            ModelImage.from_bytes(bytes(blob))
+
+    def test_two_bit_blob_must_match_its_shape(self, image):
+        # move conv1's last W_b byte into its W_c blob: the spans stay
+        # contiguous and the payload length is unchanged, so only the blob
+        # lengths disagree with the shapes
+        layers = list(image.layers)
+        conv1 = layers[0]
+        layers[0] = dataclasses.replace(
+            conv1, wb_blob=conv1.wb_blob[:-1], wc_blob=conv1.wb_blob[-1:] + conv1.wc_blob
+        )
+        blob = ModelImage(header=image.header, layers=layers).to_bytes()
+        assert len(blob) == len(image.to_bytes())
+        with pytest.raises(ConfigError, match="conv1.*wb holds 59 bytes, not the 60"):
+            ModelImage.from_bytes(blob)
+
+    @pytest.mark.parametrize(
+        "block_rows, match",
+        [
+            ([1] * 3 + [12] * 13 + [11], "sum to 170"),
+            ([1] * 3 + [12] * 13 + [6, 6], "18 blocks"),
+            ([1] * 3 + [12] * 13 + [13, -1], "counts >= 1"),
+            ([2, 0, 1] + [12] * 14, "counts >= 1"),
+        ],
+    )
+    def test_block_rows_must_tile_the_tree(self, image, block_rows, match):
+        layers = list(image.layers)
+        layers[-1] = dataclasses.replace(
+            layers[-1], meta={**layers[-1].meta, "block_rows": block_rows}
+        )
+        blob = ModelImage(header=image.header, layers=layers).to_bytes()
+        with pytest.raises(ConfigError, match=f"'tree'.*{match}"):
+            ModelImage.from_bytes(blob)
 
     def test_trailing_bytes_rejected(self, image):
         with pytest.raises(ConfigError, match="stray payload bytes"):

@@ -83,6 +83,24 @@ class TestKernels:
         )
         np.testing.assert_allclose(ternary_matmul(x, block), expected, rtol=1e-5, atol=1e-6)
 
+    def test_block_diagonal_with_multi_row_blocks(self, rng):
+        # the stacked tree's W_c: block b's rows read only columns [b*4, (b+1)*4)
+        counts = [1, 3, 2]
+        w = rng.choice([-1.0, 0.0, 1.0], size=(6, 4)).astype(np.float32)
+        blob, shape = pack_ternary(w)
+        block = as_block_diagonal(decode_planes(blob, shape), 4, counts)
+        assert (block.rows, block.cols) == (6, 12)
+        x = rng.standard_normal((5, 12)).astype(np.float32)
+        starts = np.cumsum([0] + counts)
+        expected = np.concatenate(
+            [x[:, b * 4 : (b + 1) * 4] @ w[starts[b] : starts[b + 1]].T for b in range(3)],
+            axis=1,
+        )
+        np.testing.assert_allclose(ternary_matmul(x, block), expected, rtol=1e-5, atol=1e-6)
+        for bad in ([1, 3, 1], [1, 3, 0, 2]):
+            with pytest.raises(ValueError, match="block rows"):
+                as_block_diagonal(decode_planes(blob, shape), 4, bad)
+
     def test_chunked_gather_bitwise_identical(self, rng, monkeypatch):
         """Bounding the gather scratch chunks the batch axis only — results
         stay bitwise identical to the single-pass gather on a large-nnz
@@ -219,6 +237,16 @@ class TestPackedModel:
         bad = ModelImage(header={"arch": "mystery"}, layers=image.layers)
         with pytest.raises(ConfigError):
             PackedModel(bad)
+
+    @pytest.mark.parametrize("shape", [(48, 10), (1, 24, 10), (49, 9), (49,), (2, 1, 49, 10)])
+    def test_rejects_windows_of_another_shape(self, image, shape):
+        # the conv stack would run on any (T, F) and return scores; the
+        # image's input_shape is the only size its weights were built for
+        model = PackedModel(image)
+        x = np.zeros(shape, dtype=np.float32)
+        for forward in (model, model.features):
+            with pytest.raises(ConfigError, match=r"input windows .* takes \(49, 10\)"):
+                forward(x)
 
 
 def echo_model(batch: np.ndarray) -> np.ndarray:
