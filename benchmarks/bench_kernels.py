@@ -2,13 +2,14 @@
 
 Not a paper table — these keep the building blocks honest: MFCC extraction,
 conv forward/backward, strassenified vs dense matmul layers, the
-synthetic-corpus generator, and the packed bit-plane kernels' per-kind
-gather breakdown (via :func:`repro.serving.telemetry.profile_kernels`).
+synthetic-corpus generator, the packed bit-plane kernels' per-kind gather
+breakdown (via :func:`repro.serving.telemetry.profile_kernels`), and the
+two kernel backends timed against each other on the seeded w8 and w64
+models' own layers and whole forwards.
 """
 
 from __future__ import annotations
 
-import os
 import time
 
 import numpy as np
@@ -23,20 +24,9 @@ from repro.core.strassen import freeze_all
 from repro.core.strassen.layers import StrassenLinear
 from repro.datasets.synthesizer import keyword_spec, synthesize
 from repro.deploy import build_image
-from repro.deploy.packing import pack_ternary
 from repro.nn.linear import Linear
-from repro.serving import (
-    PackedModel,
-    decode_planes,
-    profile_kernels,
-    resolve_backend,
-    ternary_matmul,
-)
-
-#: fused backend must beat the reference by this factor on linear+pw kinds
-FUSED_SPEEDUP_FLOOR = 1.3
-#: the speedup gate needs quiet parallel hardware, like the cluster benches
-MIN_GATE_CPUS = 4
+from repro.serving import PackedModel, profile_kernels, resolve_backend
+from repro.serving.kernels_fast import KernelBackend
 
 RNG = np.random.default_rng(0)
 
@@ -53,7 +43,8 @@ record_metrics(
             "conv2d_backward",
             "linear_kinds",
             "packed_profile",
-            "backend_speedups",
+            "layer_speedups",
+            "forward_speedups",
         ],
         "batch": 32,
     },
@@ -160,20 +151,6 @@ def test_packed_kernel_gather_breakdown():
     )
 
 
-def available_cpus() -> int:
-    """CPUs this process may actually use (affinity-aware)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _ternary_values(rng, rows: int, cols: int, density: float) -> np.ndarray:
-    """Random {-1, 0, +1} matrix with the requested nonzero density."""
-    mask = rng.random((rows, cols)) < density
-    signs = rng.choice(np.array([-1, 1], dtype=np.int8), size=(rows, cols))
-    return (mask * signs).astype(np.int8)
-
-
 def _best_seconds(fn, repeats: int = 5, inner: int = 4) -> float:
     """Best-of-``repeats`` mean over ``inner`` calls (noise-resistant)."""
     best = float("inf")
@@ -185,62 +162,153 @@ def _best_seconds(fn, repeats: int = 5, inner: int = 4) -> float:
     return best
 
 
-#: per-kind plane geometries shaped like the packed model's hot layers:
-#: (batch rows M, activation cols C, transform rows R, nonzero density).
-#: ``linear`` is one tree node's 64-feature -> r=12 W_b at batch 256, a
-#: shape no served layer has any more: images stack all 17 depth-2 nodes
-#: into one 204-row W_b and one block-diagonal W_c, so the served tree is 2
-#: matmuls, not 34; ``pw`` is a pointwise conv over its N*OH*OW patch rows; ``dw``
-#: is the block-diagonal depthwise gather (9-tap rows in a C*K space).
-BACKEND_CASES = {
-    "linear": (256, 64, 12, 0.9),
-    "pw": (4000, 64, 64, 0.9),
-    "dw": (2000, 576, 64, 9 / 576),
-}
+def _best_pair(reference, fused, repeats: int, inner: int):
+    """Best-of-``repeats`` means of two callables, timed alternately so a
+    slow stretch of a shared host weighs on both sides alike."""
+    best = [float("inf"), float("inf")]
+    for _ in range(repeats):
+        for side, fn in enumerate((reference, fused)):
+            best[side] = min(best[side], _best_seconds(fn, repeats=1, inner=inner))
+    return best
 
 
-def test_backend_speedups():
-    """Both backends: bitwise identity plus timed speedup.
+#: the fused backend must beat the reference by this factor on the real
+#: pointwise and tree layers at batch 32 ...
+FUSED_SPEEDUP_FLOOR = 1.3
+#: ... and must never lose to it on a whole forward
+FUSED_FORWARD_FLOOR = 1.0
+#: seeded models whose own planes and forwards are timed, and the batches:
+#: 1 is the streaming case, 32 a paper-width burst
+GATE_WIDTHS = (8, 64)
+GATE_BATCHES = (1, 32)
 
-    Identity against :func:`ternary_matmul` is asserted unconditionally on
-    every kind; the fused-backend speedup floor on the linear and pw kinds
-    only gates on >= ``MIN_GATE_CPUS`` machines (like the cluster benches)
-    — below that the timings are still recorded, just not enforced.
+
+def _image(width: int):
+    """The seeded, frozen ST-HybridNet at ``width``, imaged."""
+    model = STHybridNet(HybridConfig(width=width), rng=0)
+    freeze_all(model)
+    model.eval()
+    return build_image(model)
+
+
+def _plane_labels(image):
+    """``(layer, part)`` of every plane, in the order ``PackedModel``
+    prepares them: W_b then W_c per record (W_b only for depthwise)."""
+    return [
+        (record.name, part)
+        for record in image.layers
+        for part in (("wb",) if record.kind == "dw" else ("wb", "wc"))
+    ]
+
+
+class _Recorder(KernelBackend):
+    """Delegates to another backend, keeping each prepared plane and each
+    matmul's input under the plane's ``(layer, part)``."""
+
+    def __init__(self, inner, labels) -> None:
+        self.inner = inner
+        self.name = inner.name
+        self.labels = iter(labels)
+        self.planes = {}
+        self.inputs = {}
+        self._label = {}
+
+    def prepare(self, planes):
+        """Delegate, and label the prepared plane."""
+        prepared = self.inner.prepare(planes)
+        label = next(self.labels)
+        self.planes[label] = prepared
+        self._label[id(prepared)] = label
+        return prepared
+
+    def matmul(self, x, prepared):
+        """Record ``x`` under the plane's label, then delegate."""
+        self.inputs[self._label[id(prepared)]] = x.copy()
+        return self.inner.matmul(x, prepared)
+
+
+def _record(image, kernel: str, batch: int) -> _Recorder:
+    """One recorded ``batch``-window forward of ``image`` on ``kernel``."""
+    recorder = _Recorder(resolve_backend(kernel), _plane_labels(image))
+    x = np.random.default_rng(batch).standard_normal((batch, 49, 10)).astype(np.float32)
+    PackedModel(image, kernel=recorder)(x)
+    return recorder
+
+
+def test_layer_speedups():
+    """Per named layer: reference vs fused on the model's own planes.
+
+    Each layer's W_b and W_c matmuls run on the inputs a real forward
+    feeds them (recorded through a delegating backend), at batch 1 and
+    32, and must be bitwise identical.  Gate: fused is at least
+    ``FUSED_SPEEDUP_FLOOR``× the reference on the pointwise layers and the
+    tree at batch 32.  Both sides run in this one process, so the gate
+    holds on any CPU count.
     """
-    rng = np.random.default_rng(7)
-    results: dict = {}
-    for kind, (m, cols, rows, density) in BACKEND_CASES.items():
-        blob, shape = pack_ternary(_ternary_values(rng, rows, cols, density))
-        planes = decode_planes(blob, shape)
-        x = rng.standard_normal((m, cols)).astype(np.float32)
-        want = ternary_matmul(x, planes)
-        ref_s = _best_seconds(lambda: ternary_matmul(x, planes))
-        for name in ("reference", "fused"):
-            backend = resolve_backend(name)
-            prepared = backend.prepare(planes)
-            got = backend.matmul(x, prepared)
-            np.testing.assert_array_equal(got, want, err_msg=f"{name}/{kind}")
-            best = _best_seconds(lambda: backend.matmul(x, prepared))
-            results.setdefault(name, {})[kind] = {
-                "ms": best * 1e3,
-                "speedup_vs_reference": ref_s / best,
-            }
-    cpus = available_cpus()
-    enforced = cpus >= MIN_GATE_CPUS
+    reference, fused = resolve_backend("reference"), resolve_backend("fused")
+    layers: dict = {}
+    for width in GATE_WIDTHS:
+        image = _image(width)
+        for batch in GATE_BATCHES:
+            ref_planes = _record(image, "reference", batch).planes
+            recorded = _record(image, "fused", batch)
+            assert set(recorded.inputs) == set(ref_planes)
+            rows = {}
+            for (layer, part), x in recorded.inputs.items():
+                ref_p, fused_p = ref_planes[(layer, part)], recorded.planes[(layer, part)]
+                got = fused.matmul(x, fused_p)
+                want = reference.matmul(x, ref_p)
+                assert got.tobytes() == want.tobytes(), (width, batch, layer, part)
+                inner = 20 if batch == 1 else 3
+                ref_s, fused_s = _best_pair(
+                    lambda: reference.matmul(x, ref_p),
+                    lambda: fused.matmul(x, fused_p),
+                    repeats=5,
+                    inner=inner,
+                )
+                row = rows.setdefault(layer, {"reference_ms": 0.0, "fused_ms": 0.0})
+                row["reference_ms"] += ref_s * 1e3
+                row["fused_ms"] += fused_s * 1e3
+            for row in rows.values():
+                row["speedup"] = row["reference_ms"] / row["fused_ms"]
+            layers[f"w{width}_b{batch}"] = rows
+    gated = {
+        (key, layer): row["speedup"]
+        for key, rows in layers.items()
+        if key.endswith("_b32")
+        for layer, row in rows.items()
+        if layer.endswith(".pw") or layer == "tree"
+    }
     record_metrics(
         "kernels",
-        backends=results,
-        backend_gate={
-            "floor": FUSED_SPEEDUP_FLOOR,
-            "kinds": ["linear", "pw"],
-            "cpus": cpus,
-            "enforced": enforced,
-        },
+        layers=layers,
+        layer_gate={"floor": FUSED_SPEEDUP_FLOOR, "batch": 32, "layers": "ds*.pw, tree"},
     )
-    if enforced:
-        for kind in ("linear", "pw"):
-            speedup = results["fused"][kind]["speedup_vs_reference"]
-            assert speedup >= FUSED_SPEEDUP_FLOOR, (kind, speedup)
+    assert gated
+    for (key, layer), speedup in gated.items():
+        assert speedup >= FUSED_SPEEDUP_FLOOR, (key, layer, speedup)
+
+
+def test_forward_speedups():
+    """Whole ``PackedModel`` forwards: the fused default never loses to the
+    reference, at w8 and w64 × batch 1 and 32, bitwise identical."""
+    forwards = {}
+    for width in GATE_WIDTHS:
+        image = _image(width)
+        reference, fused = PackedModel(image, kernel="reference"), PackedModel(image)
+        for batch in GATE_BATCHES:
+            x = np.random.default_rng(batch).standard_normal((batch, 49, 10)).astype(np.float32)
+            assert fused(x).tobytes() == reference(x).tobytes(), (width, batch)
+            inner = 10 if batch == 1 else 2
+            ref_s, fused_s = _best_pair(lambda: reference(x), lambda: fused(x), 5, inner)
+            forwards[f"w{width}_b{batch}"] = {
+                "reference_ms": ref_s * 1e3,
+                "fused_ms": fused_s * 1e3,
+                "speedup": ref_s / fused_s,
+            }
+    record_metrics("kernels", forwards=forwards, forward_gate={"floor": FUSED_FORWARD_FLOOR})
+    for key, row in forwards.items():
+        assert row["speedup"] >= FUSED_FORWARD_FLOOR, (key, row)
 
 
 @pytest.mark.parametrize("layer_kind", ["dense", "strassen"])

@@ -7,6 +7,7 @@ first, so weight ``i`` lives at bits ``2*(i % 4)`` of byte ``i // 4``.
 
 from __future__ import annotations
 
+import math
 from typing import Tuple
 
 import numpy as np
@@ -37,12 +38,25 @@ def pack_ternary(values: np.ndarray) -> Tuple[bytes, Tuple[int, ...]]:
     return packed.astype(np.uint8).tobytes(), tuple(np.shape(values))
 
 
+#: byte value -> its four 2-bit codes (weight order) packed into one uint32
+#: word, so a blob unpacks with one table lookup; viewing the looked-up words
+#: as bytes yields the codes in weight order on any byte order
+_CODE_WORDS = (
+    (np.arange(256, dtype=np.uint8)[:, None] >> np.array([0, 2, 4, 6], dtype=np.uint8)) & 0b11
+).view(np.uint32).ravel()
+
+
+#: code -> weight value (the reserved code never gets this far)
+_CODE_VALUES = np.array([0.0, 1.0, -1.0, 0.0], dtype=np.float32)
+
+
 def unpack_codes(blob: bytes, count: int) -> np.ndarray:
     """Extract the first ``count`` 2-bit codes from ``blob`` as uint8.
 
     Validates the blob length and rejects the reserved ``0b11`` code — a
     reserved code in live weight positions means the blob is corrupt (or was
-    produced by a future encoding this decoder does not understand).
+    produced by a future encoding this decoder does not understand).  The
+    padding codes after weight ``count`` in the last byte are not checked.
     """
     raw = np.frombuffer(blob, dtype=np.uint8)
     expected_bytes = (count + 3) // 4
@@ -50,13 +64,8 @@ def unpack_codes(blob: bytes, count: int) -> np.ndarray:
         raise QuantizationError(
             f"blob holds {len(raw)} bytes but {count} weights need {expected_bytes}"
         )
-    codes = np.empty(len(raw) * 4, dtype=np.uint8)
-    codes[0::4] = raw & 0b11
-    codes[1::4] = (raw >> 2) & 0b11
-    codes[2::4] = (raw >> 4) & 0b11
-    codes[3::4] = (raw >> 6) & 0b11
-    codes = codes[:count]
-    if (codes == CODE_RESERVED).any():
+    codes = _CODE_WORDS[raw].view(np.uint8)[:count]
+    if codes.max(initial=0) == CODE_RESERVED:
         bad = int(np.argmax(codes == CODE_RESERVED))
         raise QuantizationError(
             f"reserved code 0b11 at weight {bad}: blob is not valid 2-bit ternary"
@@ -66,9 +75,5 @@ def unpack_codes(blob: bytes, count: int) -> np.ndarray:
 
 def unpack_ternary(blob: bytes, shape: Tuple[int, ...]) -> np.ndarray:
     """Inverse of :func:`pack_ternary`; returns a float32 {-1, 0, 1} array."""
-    count = int(np.prod(shape)) if shape else 0
-    codes = unpack_codes(blob, count)
-    out = np.zeros(count, dtype=np.float32)
-    out[codes == CODE_PLUS] = 1.0
-    out[codes == CODE_MINUS] = -1.0
-    return out.reshape(shape)
+    count = math.prod(shape) if shape else 0
+    return _CODE_VALUES[unpack_codes(blob, count)].reshape(shape)

@@ -6,9 +6,9 @@ it *fast to serve*:
 * :mod:`repro.serving.kernels`  — TNN-style bit-plane execution: ternary
   matmuls as two gather-accumulate passes over +1/−1 index planes, decoded
   once from the 2-bit blobs;
-* :mod:`repro.serving.kernels_fast` — the fused single-pass gather
-  backend (one concatenated index plane, one gather, one reduceat, signed
-  combine — with an auto-chosen feature-major layout for wide layers),
+* :mod:`repro.serving.kernels_fast` — the fused backend (both sign planes
+  as one feature-major gather, summed by a prepare-time lane schedule of
+  whole-slab vector adds that reproduces ``reduceat``'s association),
   bitwise identical to the reference and the default; ``"reference"`` or
   ``"fused"`` is chosen per :class:`PackedModel` (``kernel=``) only;
 * :mod:`repro.serving.packed`   — :class:`PackedModel`, the cached runtime

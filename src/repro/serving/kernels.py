@@ -9,15 +9,18 @@ against it reduces to two gather-accumulate passes per output row::
 
 No dense float weight matrix is materialised on the hot path: the planes
 are decoded **once** from the 2-bit blob (CSR layout: one flat index array
-plus row pointers per sign) and reused for every forward call.  The
-accumulation itself is vectorised with ``np.add.reduceat`` over a single
-gather, so the summation order is fixed — two calls on the same input are
-bitwise identical, which is what lets the cached and on-the-fly serving
-modes agree exactly.
+shared by both signs, plus segment bounds) and reused for every forward
+call.  The accumulation itself is vectorised with ``np.add.reduceat`` over
+a single gather, so the summation order is fixed — two calls on the same
+input are bitwise identical, which is what lets the cached and on-the-fly
+serving modes agree exactly.  That order is NumPy's, not left to right:
+each row's first gathered entry plus the pairwise sum of the rest (see
+:mod:`repro.serving.kernels_fast`, whose fused backend reproduces it).
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -50,40 +53,52 @@ def get_kernel_profile() -> Optional[object]:
 class TernaryPlanes:
     """A ternary (rows × cols) matrix as +1/−1 index planes in CSR form.
 
-    ``plus_indices[plus_ptr[j]:plus_ptr[j+1]]`` are the column positions of
-    the +1 entries of row ``j`` (ascending), and symmetrically for minus.
+    Both planes share one index array: segment ``j < rows`` is row ``j``'s
+    +1 columns and segment ``rows + j`` its −1 columns, each ascending and
+    delimited by ``ptr`` (``2 * rows + 1`` bounds).  ``plus_indices[
+    plus_ptr[j]:plus_ptr[j+1]]`` are the column positions of the +1 entries
+    of row ``j``, and symmetrically for minus.
     """
 
     rows: int
     cols: int
-    plus_indices: np.ndarray
-    plus_ptr: np.ndarray
-    minus_indices: np.ndarray
-    minus_ptr: np.ndarray
+    indices: np.ndarray
+    ptr: np.ndarray
+
+    @property
+    def plus_indices(self) -> np.ndarray:
+        """Column indices of the +1 entries, row by row."""
+        return self.indices[: self.ptr[self.rows]]
+
+    @property
+    def plus_ptr(self) -> np.ndarray:
+        """Row bounds into :attr:`plus_indices`."""
+        return self.ptr[: self.rows + 1]
+
+    @property
+    def minus_indices(self) -> np.ndarray:
+        """Column indices of the −1 entries, row by row."""
+        return self.indices[self.ptr[self.rows] :]
+
+    @property
+    def minus_ptr(self) -> np.ndarray:
+        """Row bounds into :attr:`minus_indices`."""
+        return self.ptr[self.rows :] - self.ptr[self.rows]
 
     @property
     def nnz(self) -> int:
         """Number of non-zero weights across both planes."""
-        return len(self.plus_indices) + len(self.minus_indices)
+        return len(self.indices)
 
     @property
     def nbytes(self) -> int:
         """Decoded in-memory footprint of the index planes."""
-        return (
-            self.plus_indices.nbytes
-            + self.plus_ptr.nbytes
-            + self.minus_indices.nbytes
-            + self.minus_ptr.nbytes
-        )
+        return self.indices.nbytes + self.ptr.nbytes
 
 
-def _csr_planes(mask: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """CSR (indices, ptr) of the True cells of a 2-D boolean mask."""
-    row_idx, col_idx = np.nonzero(mask)  # row-major => ascending cols per row
-    counts = np.bincount(row_idx, minlength=mask.shape[0])
-    ptr = np.zeros(mask.shape[0] + 1, dtype=np.intp)
-    np.cumsum(counts, out=ptr[1:])
-    return col_idx.astype(np.intp), ptr
+#: the codes of the +1 and −1 planes, shaped to broadcast a (rows, cols)
+#: code matrix into both sign masks at once
+_SIGN_CODES = np.array([CODE_PLUS, CODE_MINUS], dtype=np.uint8)[:, None, None]
 
 
 def decode_planes(blob: bytes, shape: Tuple[int, ...]) -> TernaryPlanes:
@@ -92,6 +107,9 @@ def decode_planes(blob: bytes, shape: Tuple[int, ...]) -> TernaryPlanes:
     ``shape`` is the logical tensor shape; it is flattened to
     ``(shape[0], prod(shape[1:]))`` — matching how the ternary transforms
     are applied (each output row gathers over the flattened remainder).
+    Both sign masks are stacked as ``2 * rows`` mask rows (row ``j``'s +1
+    cells, then, from row ``rows``, the −1 cells), so a single
+    ``np.nonzero`` yields both planes' ascending column indices.
     """
     if not shape:
         raise ConfigError(
@@ -101,18 +119,13 @@ def decode_planes(blob: bytes, shape: Tuple[int, ...]) -> TernaryPlanes:
     if any(dim < 0 for dim in shape):
         raise ConfigError(f"decode_planes shape {shape!r} has a negative dimension")
     rows = int(shape[0])
-    cols = int(np.prod(shape[1:])) if len(shape) > 1 else 1
+    cols = math.prod(int(dim) for dim in shape[1:])
     codes = unpack_codes(blob, rows * cols).reshape(rows, cols)
-    plus_idx, plus_ptr = _csr_planes(codes == CODE_PLUS)
-    minus_idx, minus_ptr = _csr_planes(codes == CODE_MINUS)
-    return TernaryPlanes(
-        rows=rows,
-        cols=cols,
-        plus_indices=plus_idx,
-        plus_ptr=plus_ptr,
-        minus_indices=minus_idx,
-        minus_ptr=minus_ptr,
-    )
+    masks = codes == _SIGN_CODES  # (2, rows, cols): the +1 cells, then the −1 cells
+    segments, indices = np.nonzero(masks.reshape(2 * rows, cols))
+    ptr = np.zeros(2 * rows + 1, dtype=np.intp)
+    np.cumsum(np.bincount(segments, minlength=2 * rows), out=ptr[1:])
+    return TernaryPlanes(rows=rows, cols=cols, indices=indices, ptr=ptr)
 
 
 def as_block_diagonal(
@@ -133,25 +146,23 @@ def as_block_diagonal(
     if planes.cols != block_cols:
         raise ValueError(f"planes have {planes.cols} cols, expected {block_cols}")
     if block_rows is None:
-        block_rows = np.ones(planes.rows, dtype=np.intp)
-    block_rows = np.asarray(block_rows, dtype=np.intp)
-    if block_rows.sum() != planes.rows or (block_rows < 1).any():
-        raise ValueError(
-            f"block rows {block_rows.tolist()} must be >= 1 and sum to {planes.rows}"
-        )
-    row_offsets = np.repeat(np.arange(block_rows.size, dtype=np.intp) * block_cols, block_rows)
-
-    def shift(indices: np.ndarray, ptr: np.ndarray) -> np.ndarray:
-        """Offset each row's indices into its block's columns."""
-        return indices + np.repeat(row_offsets, np.diff(ptr))
-
+        row_offsets = np.arange(planes.rows, dtype=np.intp) * block_cols
+        blocks = planes.rows
+    else:
+        block_rows = np.asarray(block_rows, dtype=np.intp)
+        if block_rows.sum() != planes.rows or (block_rows < 1).any():
+            raise ValueError(
+                f"block rows {block_rows.tolist()} must be >= 1 and sum to {planes.rows}"
+            )
+        blocks = block_rows.size
+        row_offsets = np.repeat(np.arange(blocks, dtype=np.intp) * block_cols, block_rows)
+    # each segment (a row's +1 or −1 columns) moves into its row's block
+    shifts = np.repeat(np.concatenate([row_offsets, row_offsets]), np.diff(planes.ptr))
     return TernaryPlanes(
         rows=planes.rows,
-        cols=block_rows.size * block_cols,
-        plus_indices=shift(planes.plus_indices, planes.plus_ptr),
-        plus_ptr=planes.plus_ptr,
-        minus_indices=shift(planes.minus_indices, planes.minus_ptr),
-        minus_ptr=planes.minus_ptr,
+        cols=blocks * block_cols,
+        indices=planes.indices + shifts,
+        ptr=planes.ptr,
     )
 
 

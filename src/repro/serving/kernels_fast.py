@@ -2,29 +2,38 @@
 
 The reference kernel (:mod:`repro.serving.kernels`) executes a ternary
 matmul as **two** gather-accumulate passes — one per sign plane — each
-materialising its own scratch slab and walking the activations
-independently.  :class:`FusedBackend` concatenates the +/− planes into
-**one** index array at prepare time, so each matmul runs one gather, one
-``reduceat`` over ``2 × rows`` segments, and one signed combine
-(``plus_half - minus_half``) instead of two full passes and two scratch
-slabs.  Orientation is adaptive: gather-heavy shapes transpose the
-activation chunk so ``reduceat`` runs along axis 0, where every
-accumulation step is a contiguous SIMD-friendly row addition.
+ending in ``np.add.reduceat``, which makes one inner-loop call per (batch
+row, segment).  :class:`FusedBackend` runs both planes as one gather and
+replaces that per-segment loop with a *lane schedule* built at prepare time:
+a short, fixed sequence of in-place vector adds over whole slabs of one
+feature-major gather, so a matmul costs a constant number of NumPy calls.
+
+The schedule reproduces ``reduceat``'s association exactly.  NumPy sums a
+segment ``a0, a1, …, a(n-1)`` as ``a0 + pairwise(a1 … a(n-1))``, and its
+pairwise sum of ``k`` elements is
+
+* ``k < 8``: a sequential sum (from ``-0.0``, which changes no value);
+* ``8 <= k <= 128``: eight lanes ``r_j = a_j + a_(j+8) + …``, combined as
+  ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then the ``k % 8`` leftover
+  elements added in order;
+* ``k > 128``: a recursive split, which the schedule does not emulate.
+
+Floats therefore do **not** sum left to right: ``reduceat([1, 1e8, -1e8])``
+is 1.0 in float32, where a left-to-right sum gives 0.0.  Integer sums are
+exact in any order.  So the fused backend is **bitwise identical** to the
+reference on every dtype (property-tested in ``tests/test_kernels_fast.py``).
 
 Two backends exist, ``"reference"`` and ``"fused"`` (the default), and
 :class:`~repro.serving.packed.PackedModel` (``kernel=``) is the one place
-that picks between them, through :func:`resolve_backend`.  The fused
-backend keeps the reference's per-segment left-to-right summation order,
-so it is **bitwise identical** on every dtype and the serving stack's
-identity guarantees hold whichever runs (property-tested in
-``tests/test_kernels_fast.py``).
+that picks between them, through :func:`resolve_backend`.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -36,65 +45,327 @@ from repro.serving.kernels import (
     ternary_matmul,
 )
 
+#: NumPy's pairwise-sum block: a reduce of at most this many elements runs
+#: in eight lanes; a longer one splits recursively
+_PAIRWISE_BLOCK = 128
+#: the longest segment a lane schedule sums: a first element plus one block
+MAX_LANE_SEGMENT = _PAIRWISE_BLOCK + 1
+#: lane ``j`` of an 8-lane block is stored at position ``_LANE_SLOT[j]``, so
+#: the positions hold lanes 0, 4, 2, 6, 1, 5, 3, 7 and the lane combine is
+#: three halvings of contiguous rows
+_LANE_SLOT = np.array([0, 4, 2, 6, 1, 5, 3, 7])
+#: dtypes whose ``reduceat`` the schedule reproduces: float32/float64 sum
+#: in the pairwise order above, integers are exact in any order (float16
+#: accumulates in float32 inside NumPy, so it takes the ``reduceat`` pass)
+_LANE_DTYPES = frozenset(np.dtype(code) for code in "fd" + np.typecodes["AllInteger"])
+
+
+#: entry offset, from its segment's start, of each position of each block:
+#: position ``s`` of block ``k`` holds rest entry ``8k + _LANE_SLOT[s]``
+_BLOCK_ENTRIES = (1 + 8 * np.arange(_PAIRWISE_BLOCK // 8)[:, None] + _LANE_SLOT)[:, :, None]
+
+
+def _sort_keys() -> np.ndarray:
+    """A segment's sort key by its length ``L``: ``0..6`` short segments
+    (2–8 entries) by ascending tail, ``7..14`` lane segments (9–129
+    entries) by descending tail, ``15`` single entries, ``16`` empty ones."""
+    lengths = np.arange(MAX_LANE_SEGMENT + 1)
+    keys = np.where(lengths <= 8, lengths - 2, 14 - (lengths - 1) % 8)
+    keys[:2] = (16, 15)
+    return keys.astype(np.uint8)
+
+
+_SORT_KEYS = _sort_keys()
+
+
+class LaneSchedule(NamedTuple):
+    """The summation steps of one plane pair, as rows of its gathered slab.
+
+    The slab holds one row per gathered element (feature-major: each row is
+    a whole batch column), plus a zero row at index ``nnz`` when a segment
+    is empty.  Its blocks, in order:
+
+    * every non-empty segment's first element, in sum order: short
+      segments (2–8 entries) by ascending tail, lane segments (9–129) by
+      descending tail, then single entries;
+    * tail step 0 — the short segments' second elements, directly followed
+      by the lane accumulators, so the rows that sum each segment's rest
+      (one per segment with a rest, in sum order) are contiguous;
+    * the lane accumulators (block 0) and each further block ``k``: eight
+      positions of ``count`` lane segments each, position-major, lane
+      segments here ordered by descending block count, so the segments
+      with a block ``k`` are a prefix;
+    * tail steps 1…: the segments still holding an element at that step,
+      short ones (a suffix of theirs) then lane ones (a prefix).
+
+    Each step is one in-place add of contiguous rows (the level adds run
+    over a position-major view of such rows).
+    """
+
+    #: (2 * rows,) slab row holding each segment's sum; ``nnz`` if empty
+    sums_index: np.ndarray
+    #: whether a segment is empty, so the slab needs its zero row
+    zero_row: bool
+    #: segments summed in eight lanes, and the rows of their accumulators
+    lanes: int
+    acc: slice
+    #: (count, rows) of each further block, added into the first ``count``
+    levels: Tuple[Tuple[int, slice], ...]
+    #: accumulator row of each lane segment in sum order; None if the same
+    lane_order: Optional[np.ndarray]
+    #: ``slab[rows] += slab[source]`` for each tail step, then once more to
+    #: add each segment's rest to its first element
+    steps: Tuple[Tuple[slice, slice], ...]
+
+    @property
+    def nbytes(self) -> int:
+        """Resident bytes of the schedule's index arrays."""
+        order = 0 if self.lane_order is None else self.lane_order.nbytes
+        return self.sums_index.nbytes + order
+
+
+def _lane_layout(
+    lengths: np.ndarray, starts: np.ndarray, nnz: int
+) -> Tuple[LaneSchedule, np.ndarray]:
+    """The schedule for segments of ``lengths`` (each at most
+    :data:`MAX_LANE_SEGMENT`) starting at ``starts`` in a segment-major
+    index array, and, per slab row, the position of its element there.
+
+    One argsort orders the segments (a second one, over the lane segments
+    only, orders their blocks); each slab block is then one arithmetic
+    step on its segments' start positions.
+    """
+    segments = lengths.size
+    keys = _SORT_KEYS[lengths]
+    order = keys.argsort(kind="stable")
+    # totals[i]: segments with key <= i
+    totals = list(itertools.accumulate(np.bincount(keys, minlength=17).tolist()))
+    shorts, lanes, first = totals[6], totals[14] - totals[6], totals[15]
+    heads = starts[order[:first]]  # first elements, in sum order
+    # the element a segment adds at tail step j is rest[j]: a short
+    # segment's entry j + 1, a lane segment's entry 8 * blocks + j
+    rest = heads[: shorts + lanes] + 1
+    pieces = [heads, rest[:shorts]]
+    row = first + shorts  # the lane accumulators
+    levels = []
+    lane_order = None
+    if lanes:
+        blocks = (lengths[order[shorts : shorts + lanes]] - 1) >> 3
+        rest[shorts:] += 8 * blocks - 1
+        lane_heads = heads[shorts : shorts + lanes]
+        if (blocks[1:] > blocks[:-1]).any():
+            # blocks list lane segments by descending block count, so the
+            # ones with a block k are a prefix; lane_order maps them back
+            by_blocks = (-blocks).argsort(kind="stable")
+            lane_order = np.empty(lanes, dtype=np.intp)
+            lane_order[by_blocks] = np.arange(lanes)
+            lane_heads = lane_heads[by_blocks]
+        with_block = list(itertools.accumulate(np.bincount(blocks)[:0:-1].tolist()))[::-1]
+        for k, count in enumerate(with_block):  # lane segments with a block k
+            pieces.append((lane_heads[:count] + _BLOCK_ENTRIES[k]).ravel())
+            if k:
+                levels.append((count, slice(row, row + 8 * count)))
+            row += 8 * count
+    steps = []
+    for j in range(1, 8):
+        lo = totals[j - 1]  # short segments with a shorter tail
+        hi = shorts + totals[14 - j] - totals[6]  # lane segments with tail >= j
+        if hi <= lo:
+            break
+        pieces.append(rest[lo:hi] + j)
+        steps.append((slice(first + lo, first + hi), slice(row, row + hi - lo)))
+        row += hi - lo
+    steps.append((slice(0, shorts + lanes), slice(first, first + shorts + lanes)))
+
+    sums_index = np.empty(segments, dtype=np.int32)
+    sums_index[order] = np.arange(segments, dtype=np.int32)
+    sums_index[order[first:]] = nnz
+    schedule = LaneSchedule(
+        sums_index=sums_index,
+        zero_row=first < segments,
+        lanes=lanes,
+        acc=slice(first + shorts, first + shorts + 8 * lanes),
+        levels=tuple(levels),
+        lane_order=lane_order,
+        steps=tuple(steps),
+    )
+    return schedule, np.concatenate(pieces)
+
 
 @dataclass(frozen=True)
 class FusedPlanes:
-    """Both sign planes of one ternary matrix as a single segment array.
+    """Both sign planes of one ternary matrix as one gather and its sum plan.
 
-    ``indices`` is the reference's ``plus_indices`` and ``minus_indices``
-    back to back; segment ``j < rows`` is row ``j``'s +1 columns and
-    segment ``rows + j`` its −1 columns, delimited by ``bounds`` (the 2 ×
-    rows segment starts).  ``empty`` lists the segments with no entries —
-    ``reduceat`` emits a stray element for those, which the matmul zeroes —
-    with ``nonempty`` / ``nonempty_bounds`` the prepare-time complement the
-    hot path reduces over (fixed per layout, so never recomputed per call).
+    Segment ``j < rows`` is row ``j``'s +1 columns and segment ``rows + j``
+    its −1 columns; ``lengths`` counts their entries.  With a ``schedule``,
+    ``order`` gathers the columns slot-major, in the slab layout the
+    schedule sums; without one (a segment longer than
+    :data:`MAX_LANE_SEGMENT`, or a failed probe) ``order`` is segment-major,
+    ascending within each segment, for the batch-major ``reduceat`` pass.
     """
 
     rows: int
     cols: int
-    indices: np.ndarray
-    bounds: np.ndarray
-    empty: np.ndarray
-    nonempty: np.ndarray
-    nonempty_bounds: np.ndarray
+    order: np.ndarray
+    lengths: np.ndarray
+    schedule: Optional[LaneSchedule]
 
     @property
     def nnz(self) -> int:
         """Non-zero weights across both sign planes."""
-        return int(self.indices.size)
+        return self.order.size
 
     @property
     def nbytes(self) -> int:
         """Decoded in-memory footprint of the fused layout."""
-        return (
-            self.indices.nbytes
-            + self.bounds.nbytes
-            + self.empty.nbytes
-            + self.nonempty.nbytes
-            + self.nonempty_bounds.nbytes
+        total = self.order.nbytes + self.lengths.nbytes
+        return total + (0 if self.schedule is None else self.schedule.nbytes)
+
+
+def _fuse(planes: TernaryPlanes, lanes: bool) -> FusedPlanes:
+    """Both sign planes as one gather: lane-scheduled when ``lanes`` allows
+    and every segment fits :data:`MAX_LANE_SEGMENT`, segment-major otherwise."""
+    lengths = planes.ptr[1:] - planes.ptr[:-1]
+    if not lanes or lengths.max(initial=0) > MAX_LANE_SEGMENT:
+        return FusedPlanes(
+            rows=planes.rows,
+            cols=planes.cols,
+            order=planes.indices.astype(np.int32),
+            lengths=lengths.astype(np.int32),
+            schedule=None,
         )
-
-
-def _fuse(planes: TernaryPlanes) -> FusedPlanes:
-    """Concatenate a plane pair into the single-gather segment layout."""
-    indices = np.concatenate([planes.plus_indices, planes.minus_indices])
-    starts = np.concatenate(
-        [planes.plus_ptr[:-1], planes.plus_indices.size + planes.minus_ptr[:-1]]
-    ).astype(np.intp)
-    ends = np.concatenate(
-        [planes.plus_ptr[1:], planes.plus_indices.size + planes.minus_ptr[1:]]
-    ).astype(np.intp)
-    lengths = ends - starts
-    nonempty = np.flatnonzero(lengths)
+    schedule, elements = _lane_layout(lengths, planes.ptr[:-1], planes.nnz)
     return FusedPlanes(
         rows=planes.rows,
         cols=planes.cols,
-        indices=np.ascontiguousarray(indices, dtype=np.intp),
-        bounds=np.ascontiguousarray(starts),
-        empty=np.flatnonzero(lengths == 0),
-        nonempty=nonempty,
-        nonempty_bounds=np.ascontiguousarray(starts[nonempty]),
+        order=planes.indices[elements].astype(np.int32),
+        lengths=lengths.astype(np.uint8),
+        schedule=schedule,
     )
+
+
+def _sum_lanes(slab: np.ndarray, schedule: LaneSchedule) -> None:
+    """Run the schedule in place: each segment's sum lands in its first row."""
+    lanes = schedule.lanes
+    if lanes:
+        acc = slab[schedule.acc]
+        blocks = acc.reshape(8, lanes, -1)
+        for count, rows in schedule.levels:
+            head = blocks[:, :count]
+            head += slab[rows].reshape(8, count, -1)
+        # positions hold lanes 0, 4, 2, 6, 1, 5, 3, 7, so the combine
+        # ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) is three halvings
+        head = acc[: 4 * lanes]
+        head += acc[4 * lanes :]
+        head = acc[: 2 * lanes]
+        head += acc[2 * lanes : 4 * lanes]
+        head, tail = acc[:lanes], acc[lanes : 2 * lanes]
+        if schedule.lane_order is None:
+            head += tail
+        else:
+            np.add(head, tail, out=tail)
+            np.take(tail, schedule.lane_order, axis=0, out=head, mode="clip")
+    for rows, source in schedule.steps:
+        head = slab[rows]
+        head += slab[source]
+
+
+def _lane_matmul(x: np.ndarray, prepared: FusedPlanes, out: np.ndarray) -> None:
+    """``out = x @ W.T`` through the lane schedule, chunked along the batch.
+
+    Per chunk row the scratch is the transposed input, the ``nnz (+1)``-row
+    slab and the ``2 * rows`` gathered sums — all counted against
+    :data:`GATHER_SCRATCH_BYTES`.  Besides them, ``np.take`` makes one intp
+    copy of the int32 gather order (8 bytes per non-zero weight), whatever
+    the batch.
+    """
+    schedule = prepared.schedule
+    nnz, rows = prepared.order.size, prepared.rows
+    scratch = prepared.cols + nnz + schedule.zero_row + 2 * rows
+    chunk = gather_chunk_rows(scratch, x.dtype.itemsize)
+    for lo in range(0, x.shape[0], chunk):
+        xt = np.ascontiguousarray(x[lo : lo + chunk].T)
+        slab = np.empty((nnz + schedule.zero_row, xt.shape[1]), dtype=x.dtype)
+        np.take(xt, prepared.order, axis=0, out=slab[:nnz], mode="clip")
+        del xt
+        if schedule.zero_row:
+            slab[nnz] = 0
+        _sum_lanes(slab, schedule)
+        sums = np.take(slab, schedule.sums_index, axis=0, mode="clip")
+        del slab
+        np.subtract(sums[:rows], sums[rows:], out=out[lo : lo + chunk].T)
+
+
+def _reduceat_matmul(x: np.ndarray, prepared: FusedPlanes) -> np.ndarray:
+    """The batch-major ``reduceat`` pass: gather ``x[chunk, columns]`` and
+    reduce along axis 1 (the reference's orientation), empty segments zero.
+
+    A lane-scheduled plane (an input dtype the schedule does not cover)
+    first rebuilds its segment-major column order from its lengths.
+    """
+    lengths = prepared.lengths.astype(np.intp)
+    starts = np.cumsum(lengths) - lengths
+    columns = prepared.order
+    if prepared.schedule is not None:
+        columns = np.empty_like(prepared.order)
+        columns[_lane_layout(lengths, starts, prepared.nnz)[1]] = prepared.order
+    nonempty = np.flatnonzero(lengths)
+    bounds = starts[nonempty]
+    sums = np.zeros((x.shape[0], lengths.size), dtype=x.dtype)
+    # scratch per batch row: the gathered slab + the reduceat output
+    chunk = gather_chunk_rows(columns.size + nonempty.size, x.dtype.itemsize)
+    for lo in range(0, x.shape[0], chunk):
+        gathered = x[lo : lo + chunk, columns]
+        sums[lo : lo + chunk, nonempty] = np.add.reduceat(gathered, bounds, axis=1)
+    return sums[:, : prepared.rows] - sums[:, prepared.rows :]
+
+
+#: segment lengths the probe sums: a single entry, the sequential rests
+#: either side of 8 entries, and lane segments with 1, 2, 3, 8, 15 and 16
+#: blocks, with and without leftovers — every branch and boundary of
+#: NumPy's pairwise sum up to :data:`MAX_LANE_SEGMENT`
+_PROBE_LENGTHS = (1, 2, 3, 8, 9, 10, 16, 17, 24, 25, 64, 65, 127, 128, 129)
+
+
+def _probe_lanes() -> bool:
+    """Whether lane sums match this NumPy's ``np.add.reduceat`` bit for bit.
+
+    Sums segments of :data:`_PROBE_LENGTHS` both ways, in float32 and
+    float64, over values spread across 48 binades, where any other
+    association of a segment's additions changes its rounding.  The probe
+    runs in the first decode of every process (a cluster worker's boot
+    included), so it stays small, and its values are arithmetic: importing
+    ``numpy.random`` for them would cost more than the whole probe.
+    """
+    lengths = np.array(_PROBE_LENGTHS)
+    ptr = np.concatenate([[0], np.cumsum(lengths)])
+    columns = np.arange(ptr[-1]) - np.repeat(ptr[:-1], lengths)  # 0 .. L-1 each
+    # the minus plane is empty, so the matmul is the plus sums: x - 0.0 == x
+    bounds = np.concatenate([ptr, np.full(lengths.size, ptr[-1])])
+    planes = TernaryPlanes(rows=lengths.size, cols=MAX_LANE_SEGMENT, indices=columns, ptr=bounds)
+    prepared = _fuse(planes, lanes=True)
+    i = np.arange(2 * MAX_LANE_SEGMENT).reshape(2, MAX_LANE_SEGMENT)
+    values = np.sin(2.3 * i) * 2.0 ** (11 * i % 48 - 24)
+    for dtype in (np.float32, np.float64):
+        x = values.astype(dtype)
+        want = np.add.reduceat(x[:, columns], ptr[:-1], axis=1)
+        got = np.empty_like(want)
+        _lane_matmul(x, prepared, got)
+        if got.tobytes() != want.tobytes():
+            return False
+    return True
+
+
+#: the probe's verdict, taken once per process on first use
+_LANES_EXACT: Optional[bool] = None
+
+
+def _lanes_exact() -> bool:
+    """Whether this process sums through lane schedules (the one-time probe)."""
+    global _LANES_EXACT
+    if _LANES_EXACT is None:
+        _LANES_EXACT = _probe_lanes()
+    return _LANES_EXACT
 
 
 class KernelBackend:
@@ -136,117 +407,47 @@ class ReferenceBackend(KernelBackend):
 
 
 class FusedBackend(KernelBackend):
-    """Single-pass gather: one scratch slab, one ``reduceat``, one combine.
+    """One gather per matmul, summed by the plane's lane schedule.
 
-    The gather has two orientations.  Batch-major gathers
-    ``x[chunk, indices]`` and reduces along axis 1 (the reference's
-    orientation); feature-major transposes the activation chunk and reduces
-    along axis 0 — every accumulation step is then a contiguous row-wise
-    vector add, which wins whenever the gather volume amortises the
-    transpose.  :meth:`_feature_major` chooses per plane: feature-major when
-    the plane has at least as many non-zeros as input columns *and*
-    segments are long enough to vectorise.
-
-    Both orientations perform the per-segment additions in the exact same
-    left-to-right order, so the choice never changes a single output bit.
+    ``prepare`` builds the schedule (:class:`LaneSchedule`); ``matmul``
+    gathers the activations feature-major, runs the schedule's in-place
+    vector adds, and writes a C-contiguous ``(M, rows)`` result.  A plane
+    with a segment longer than :data:`MAX_LANE_SEGMENT`, and an input
+    dtype the schedule does not reproduce, run the batch-major
+    ``np.add.reduceat`` pass instead; so does every plane when the
+    one-time probe (:attr:`lane_schedule`) finds that this NumPy sums in
+    another order.  Either way the result is the reference's, bit for bit.
     """
 
     name = "fused"
 
-    #: feature-major needs segments at least this long before the axis-0
-    #: vector adds beat the reference's axis-1 scalar loop
-    MIN_VECTOR_SEGMENT = 8
+    @property
+    def lane_schedule(self) -> bool:
+        """True when lane schedules run; False when every plane in the
+        process takes the ``reduceat`` pass (the probe failed)."""
+        return _lanes_exact()
 
     def prepare(self, planes: TernaryPlanes) -> FusedPlanes:
-        """Concatenate the sign planes into the single-gather layout."""
-        return _fuse(planes)
+        """Fuse the sign planes and build their lane schedule."""
+        return _fuse(planes, lanes=_lanes_exact())
 
     def matmul(self, x: np.ndarray, prepared: FusedPlanes) -> np.ndarray:
-        """One gather + one ``reduceat`` + one signed combine."""
+        """One gather + the schedule's vector adds + one signed combine."""
         if x.shape[1] != prepared.cols:
             raise ValueError(
                 f"input has {x.shape[1]} features, planes expect {prepared.cols}"
             )
         profile = get_kernel_profile()
         start = time.perf_counter() if profile is not None else 0.0
-        out = self._segment_sums(x, prepared)
-        result = out[:, : prepared.rows] - out[:, prepared.rows :]
+        if prepared.nnz == 0 or x.shape[0] == 0:
+            out = np.zeros((x.shape[0], prepared.rows), dtype=x.dtype)
+        elif prepared.schedule is None or x.dtype not in _LANE_DTYPES:
+            out = _reduceat_matmul(x, prepared)
+        else:
+            out = np.empty((x.shape[0], prepared.rows), dtype=x.dtype)
+            _lane_matmul(x, prepared, out)
         if profile is not None:
             profile.record_gather(time.perf_counter() - start, self.name)
-        return result
-
-    def _feature_major(self, prepared: FusedPlanes) -> bool:
-        """The orientation rule: gather-heavy, long-segment planes go feature-major."""
-        segments = 2 * prepared.rows
-        if not segments:
-            return False
-        return (
-            prepared.nnz >= prepared.cols
-            and prepared.nnz // segments >= self.MIN_VECTOR_SEGMENT
-        )
-
-    def _segment_sums(self, x: np.ndarray, prepared: FusedPlanes) -> np.ndarray:
-        """The ``(M, 2 * rows)`` per-segment sums, empty segments zeroed."""
-        segments = 2 * prepared.rows
-        if prepared.nnz == 0 or x.shape[0] == 0:
-            return np.zeros((x.shape[0], segments), dtype=x.dtype)
-        if self._feature_major(prepared):
-            return self._sums_feature_major(x, prepared)
-        return self._sums_batch_major(x, prepared)
-
-    def _sums_batch_major(self, x: np.ndarray, prepared: FusedPlanes) -> np.ndarray:
-        """Gather ``x[chunk, indices]`` and reduce along axis 1."""
-        segments = 2 * prepared.rows
-        out = np.empty((x.shape[0], segments), dtype=x.dtype)
-        # scratch per batch row: the gathered slab + the reduceat output
-        chunk = gather_chunk_rows(prepared.nnz + segments, x.dtype.itemsize)
-        if prepared.empty.size == 0:
-            # every bound starts a real segment, so reduceat can write
-            # straight into the output — no scatter pass
-            for lo in range(0, x.shape[0], chunk):
-                gathered = x[lo : lo + chunk, prepared.indices]
-                np.add.reduceat(gathered, prepared.bounds, axis=1, out=out[lo : lo + chunk])
-            return out
-        # empty segments would make reduceat read past the index array (a
-        # trailing empty bound equals nnz) or emit strays — reduce only the
-        # populated segments and scatter, exactly like the reference
-        nonempty = prepared.nonempty
-        bounds = prepared.nonempty_bounds
-        out[:] = 0
-        for lo in range(0, x.shape[0], chunk):
-            gathered = x[lo : lo + chunk, prepared.indices]
-            out[lo : lo + chunk, nonempty] = np.add.reduceat(gathered, bounds, axis=1)
-        return out
-
-    def _sums_feature_major(self, x: np.ndarray, prepared: FusedPlanes) -> np.ndarray:
-        """Transpose the chunk, gather whole rows, reduce along axis 0.
-
-        ``reduceat`` along the leading axis accumulates full contiguous
-        batch rows per step — SIMD-width adds instead of per-element scalar
-        loops — while visiting each segment's entries in the identical
-        order, so the sums are bit-for-bit the batch-major ones.
-        """
-        segments = 2 * prepared.rows
-        out = np.empty((x.shape[0], segments), dtype=x.dtype)
-        # scratch per batch row: transposed copy + gathered slab + reduce out
-        chunk = gather_chunk_rows(
-            prepared.nnz + segments + prepared.cols, x.dtype.itemsize
-        )
-        if prepared.empty.size == 0:
-            nonempty = None
-            bounds = prepared.bounds
-        else:
-            nonempty = prepared.nonempty
-            bounds = prepared.nonempty_bounds
-            out[:] = 0
-        for lo in range(0, x.shape[0], chunk):
-            xt = np.ascontiguousarray(x[lo : lo + chunk].T)
-            gathered = xt[prepared.indices]
-            sums = np.add.reduceat(gathered, bounds, axis=0)
-            if nonempty is None:
-                out[lo : lo + chunk] = sums.T
-            else:
-                out[lo : lo + chunk, nonempty] = sums.T
         return out
 
 
@@ -275,6 +476,8 @@ def resolve_backend(kernel: Union[str, KernelBackend, None] = None) -> KernelBac
 __all__ = [
     "FusedPlanes",
     "KernelBackend",
+    "LaneSchedule",
+    "MAX_LANE_SEGMENT",
     "ReferenceBackend",
     "FusedBackend",
     "resolve_backend",

@@ -15,6 +15,7 @@ from repro.autodiff.tensor import Tensor, no_grad
 from repro.core.hybrid import HybridConfig, STHybridNet
 from repro.core.strassen import freeze_all
 from repro.deploy import ImageInterpreter, ModelImage, build_image, pack_ternary, unpack_ternary
+from repro.deploy.packing import CODE_RESERVED, unpack_codes
 from repro.errors import ConfigError, QuantizationError
 from repro.serving import ClusterRouter
 
@@ -67,6 +68,46 @@ class TestPacking:
     def test_reserved_code_in_padding_ignored(self):
         # weight count 1: only the low 2 bits are live, garbage padding is fine
         assert unpack_ternary(bytes([0b1101]), (1,))[0] == 1.0
+
+    @pytest.mark.parametrize("count", range(10))
+    def test_table_unpack_matches_shift_unpack(self, count):
+        """The table lookup decodes every byte value exactly as the four
+        shift-and-mask passes it replaced, errors included; reserved codes
+        in the last byte's padding stay accepted."""
+        for value in range(256):
+            blob = bytes([value]) * ((count + 3) // 4)
+            try:
+                want = _shift_unpack_codes(blob, count)
+            except QuantizationError as exc:
+                with pytest.raises(QuantizationError) as caught:
+                    unpack_codes(blob, count)
+                assert str(caught.value) == str(exc), (value, count)
+                continue
+            got = unpack_codes(blob, count)
+            assert got.dtype == want.dtype == np.uint8
+            assert got.tobytes() == want.tobytes(), (value, count)
+
+
+def _shift_unpack_codes(blob: bytes, count: int) -> np.ndarray:
+    """The shift-and-mask ``unpack_codes`` the table lookup replaced."""
+    raw = np.frombuffer(blob, dtype=np.uint8)
+    expected_bytes = (count + 3) // 4
+    if len(raw) != expected_bytes:
+        raise QuantizationError(
+            f"blob holds {len(raw)} bytes but {count} weights need {expected_bytes}"
+        )
+    codes = np.empty(len(raw) * 4, dtype=np.uint8)
+    codes[0::4] = raw & 0b11
+    codes[1::4] = (raw >> 2) & 0b11
+    codes[2::4] = (raw >> 4) & 0b11
+    codes[3::4] = (raw >> 6) & 0b11
+    codes = codes[:count]
+    if (codes == CODE_RESERVED).any():
+        bad = int(np.argmax(codes == CODE_RESERVED))
+        raise QuantizationError(
+            f"reserved code 0b11 at weight {bad}: blob is not valid 2-bit ternary"
+        )
+    return codes
 
 
 @pytest.fixture(scope="module")

@@ -1,10 +1,12 @@
-"""Kernel backends: bitwise identity, orientation, the cluster default.
+"""Kernel backends: bitwise identity, the reduceat order, the cluster default.
 
 The contract under test is the one the serving stack leans on everywhere:
 the fused backend in :mod:`repro.serving.kernels_fast` produces
 **bit-for-bit** the reference kernel's output — across shapes, sparsities,
-dtypes, gather orientations and gather-chunk boundaries — and a default
-cluster runs it in every worker, crash-restart replacements included.
+dtypes, segment lengths and gather-chunk boundaries — and a default cluster
+runs it in every worker, crash-restart replacements included.  The fused
+lane schedule is also checked segment by segment against
+``np.add.reduceat``, whose association it reproduces.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.deploy.packing import pack_ternary
 from repro.errors import ConfigError
-from repro.serving import kernels
+from repro.serving import kernels, kernels_fast
 from repro.serving.kernels import (
     TernaryPlanes,
     decode_planes,
@@ -24,6 +26,7 @@ from repro.serving.kernels import (
     ternary_matmul,
 )
 from repro.serving.kernels_fast import (
+    MAX_LANE_SEGMENT,
     FusedBackend,
     FusedPlanes,
     ReferenceBackend,
@@ -53,16 +56,27 @@ def activations(rng: np.random.Generator, shape, dtype) -> np.ndarray:
     return rng.integers(-1000, 1000, size=shape).astype(dtype)
 
 
-def tiny_model_image():
-    """The width-8 hybrid model frozen into a deploy image."""
+def tiny_model_image(width: int = 8):
+    """The hybrid model at ``width`` frozen into a deploy image."""
     from repro.core.hybrid import HybridConfig, STHybridNet
     from repro.core.strassen import freeze_all
     from repro.deploy import build_image
 
-    model = STHybridNet(HybridConfig(width=8), rng=0)
+    model = STHybridNet(HybridConfig(width=width), rng=0)
     freeze_all(model)
     model.eval()
     return build_image(model)
+
+
+def assert_bitwise(got: np.ndarray, want: np.ndarray, msg: str = "") -> None:
+    """Same dtype, shape and bytes (so ``-0.0 != 0.0``); NaNs must sit at
+    the same places, their payload bits aside."""
+    assert got.dtype == want.dtype and got.shape == want.shape, msg
+    if got.dtype.kind in "fc":
+        nan = np.isnan(want)
+        np.testing.assert_array_equal(np.isnan(got), nan, err_msg=msg)
+        got, want = got[~nan], want[~nan]
+    assert got.tobytes() == want.tobytes(), msg
 
 
 class TestRegistry:
@@ -161,6 +175,37 @@ class TestScratchBound:
         assert 1 <= chunk and peak <= budget
         np.testing.assert_array_equal(ternary_matmul(x, planes), want)
 
+    def test_fused_peak_scratch_respects_budget(self, monkeypatch):
+        """One fused matmul's traced peak stays within the budget plus its
+        output, NumPy's intp copy of the int32 gather order, and the array
+        headers of one chunk's views (a fixed 2 KiB)."""
+        import tracemalloc
+
+        rng = np.random.default_rng(5)
+        planes = planes_for(ternary(rng, 16, 64, 0.8))
+        x = rng.standard_normal((64, 64)).astype(np.float32)
+        want = ternary_matmul(x, planes)
+        backend = FusedBackend()
+        prepared = backend.prepare(planes)
+        assert prepared.schedule is not None
+        budget = 4096
+        # unchunked, the slab alone would overshoot the budget many times
+        assert prepared.nnz * x.shape[0] * x.dtype.itemsize > 10 * budget
+        monkeypatch.setattr(kernels, "GATHER_SCRATCH_BYTES", budget)
+        backend.matmul(x, prepared)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            got = backend.matmul(x, prepared)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        index_cast = prepared.nnz * np.dtype(np.intp).itemsize
+        headers = 2048
+        assert peak <= budget + got.nbytes + index_cast + headers, (peak, got.nbytes, index_cast)
+        assert_bitwise(got, want)
+
     @pytest.mark.parametrize("name", ["fused"])
     def test_backends_identical_under_tiny_budget(self, name, monkeypatch):
         """Chunk boundaries at every few rows never change a bit."""
@@ -209,34 +254,184 @@ class TestBitwiseIdentity:
                 assert got.dtype == want.dtype, (name, dtype)
                 np.testing.assert_array_equal(got, want, err_msg=f"{name}/{dtype}")
 
-    @settings(max_examples=25, deadline=None)
+
+#: segment lengths at the schedule's edges: single entries, the last
+#: sequential rest (8), the first lane rest (9), a second block (17), the
+#: longest lane segment (129) and the first that takes ``reduceat`` (130)
+BOUNDARY_LENGTHS = (0, 1, 2, 8, 9, 10, 16, 17, 128, 129, 130)
+LONGEST = 140
+
+
+def segment_planes(rng, plus_lengths, minus_lengths) -> TernaryPlanes:
+    """Planes whose row ``j`` has ``plus_lengths[j]`` +1 and
+    ``minus_lengths[j]`` −1 entries at distinct random columns."""
+    cols = 2 * LONGEST
+    plus, minus = [], []
+    for p, m in zip(plus_lengths, minus_lengths):
+        picked = rng.permutation(cols)[: p + m]
+        plus.append(np.sort(picked[:p]))
+        minus.append(np.sort(picked[p:]))
+    segments = plus + minus
+    ptr = np.concatenate([[0], np.cumsum([len(seg) for seg in segments])]).astype(np.intp)
+    indices = np.concatenate(segments).astype(np.intp)
+    return TernaryPlanes(rows=len(plus), cols=cols, indices=indices, ptr=ptr)
+
+
+def reduceat_oracle(x: np.ndarray, planes: TernaryPlanes) -> np.ndarray:
+    """plus − minus, each segment summed by its own ``np.add.reduceat``."""
+    sums = np.zeros((x.shape[0], 2 * planes.rows), dtype=x.dtype)
+    for segment in range(2 * planes.rows):
+        columns = planes.indices[planes.ptr[segment] : planes.ptr[segment + 1]]
+        if columns.size:
+            sums[:, segment] = np.add.reduceat(x[:, columns], [0], axis=1)[:, 0]
+    return sums[:, : planes.rows] - sums[:, planes.rows :]
+
+
+def values(rng, shape, dtype, specials: bool) -> np.ndarray:
+    """Activations over 60 binades (floats) or small ints; with
+    ``specials``, a tenth of them are ±0.0, NaN or ±inf."""
+    if not np.issubdtype(dtype, np.floating):
+        return rng.integers(-1000, 1000, size=shape).astype(dtype)
+    x = rng.standard_normal(shape) * 2.0 ** rng.integers(-30, 30, size=shape)
+    if specials:
+        mask = rng.random(shape) < 0.1
+        x[mask] = rng.choice([0.0, -0.0, np.nan, np.inf, -np.inf], size=int(mask.sum()))
+    return x.astype(dtype)
+
+
+length_strategy = st.one_of(
+    st.sampled_from(BOUNDARY_LENGTHS), st.integers(min_value=0, max_value=LONGEST)
+)
+
+
+class TestReduceatOrder:
+    """The lane schedule reproduces ``np.add.reduceat``'s association:
+    ``a0 + pairwise(rest)``, not a left-to-right sum."""
+
+    @settings(max_examples=60, deadline=None)
     @given(
-        seed=st.integers(min_value=0, max_value=2**31 - 1),
-        density=st.sampled_from([0.1, 0.5, 1.0]),
+        lengths=st.lists(st.tuples(length_strategy, length_strategy), min_size=1, max_size=6),
+        batch=st.integers(min_value=0, max_value=20),
         dtype=st.sampled_from(sorted(DTYPES)),
+        specials=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        scratch=st.sampled_from([None, 256, 4096]),
     )
-    def test_forced_layouts_identical(self, seed, density, dtype):
-        """Both fused orientations keep the exact summation order."""
+    def test_segments_match_reduceat(self, lengths, batch, dtype, specials, seed, scratch):
         rng = np.random.default_rng(seed)
-        planes = planes_for(ternary(rng, 10, 30, density))
-        x = activations(rng, (13, 30), DTYPES[dtype])
+        planes = segment_planes(rng, *zip(*lengths))
+        x = values(rng, (batch, planes.cols), DTYPES[dtype], specials)
         backend = FusedBackend()
         prepared = backend.prepare(planes)
-        batch_major = backend._sums_batch_major(x, prepared)
-        feature_major = backend._sums_feature_major(x, prepared)
-        np.testing.assert_array_equal(batch_major, feature_major)
-        combined = batch_major[:, :10] - batch_major[:, 10:]
-        np.testing.assert_array_equal(combined, ternary_matmul(x, planes))
+        longest = max(max(pair) for pair in lengths)
+        assert (prepared.schedule is None) == (longest > MAX_LANE_SEGMENT)
+        with pytest.MonkeyPatch.context() as mp, np.errstate(invalid="ignore"):
+            want = reduceat_oracle(x, planes)  # inf - inf is NaN, as intended
+            if scratch is not None:
+                mp.setattr(kernels, "GATHER_SCRATCH_BYTES", scratch)
+            got = backend.matmul(x, prepared)
+        assert_bitwise(got, want, f"{dtype} lengths={lengths}")
 
-    def test_orientation_rule_picks_each_side(self):
-        """Gather-heavy, long-segment planes go feature-major; sparse ones don't."""
+    @pytest.mark.parametrize("dtype", sorted(DTYPES))
+    @pytest.mark.parametrize("length", BOUNDARY_LENGTHS)
+    def test_boundary_lengths(self, length, dtype):
+        """Every boundary length, as a +1 and as a −1 segment, batch 7."""
+        rng = np.random.default_rng(length)
+        planes = segment_planes(rng, [length, 3, 0], [5, length, 1])
+        x = values(rng, (7, planes.cols), DTYPES[dtype], specials=False)
+        got = FusedBackend().matmul(x, FusedBackend().prepare(planes))
+        assert_bitwise(got, reduceat_oracle(x, planes), f"{dtype} length={length}")
+        assert_bitwise(got, ternary_matmul(x, planes), f"{dtype} length={length}")
+
+    def test_not_left_to_right(self):
+        """float32 ``[1, 1e8, -1e8]`` sums to 1.0 (``1 + (1e8 + -1e8)``);
+        left to right it would be 0.0."""
+        planes = planes_for(np.array([[1, 1, 1]], dtype=np.int8))
+        x = np.array([[1.0, 1e8, -1e8]], dtype=np.float32)
+        assert (x[0, 0] + x[0, 1]) + x[0, 2] == 0.0
+        for name in BACKENDS:
+            backend = resolve_backend(name)
+            got = backend.matmul(x, backend.prepare(planes))
+            assert got[0, 0] == 1.0, name
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.complex64])
+    def test_uncovered_dtypes_take_reduceat_pass(self, dtype):
+        """float16 sums in float32 inside NumPy: the reduceat pass runs it."""
+        rng = np.random.default_rng(8)
+        planes = planes_for(ternary(rng, 6, 40, 0.7))
+        prepared = FusedBackend().prepare(planes)
+        assert prepared.schedule is not None
+        x = (rng.standard_normal((5, 40)) * 10).astype(dtype)
+        assert_bitwise(FusedBackend().matmul(x, prepared), ternary_matmul(x, planes))
+
+
+class TestOutputLayout:
+    @pytest.mark.parametrize("scratch", [None, 512])
+    @pytest.mark.parametrize("batch", [1, 3, 64])
+    def test_fused_output_is_c_contiguous(self, batch, scratch, monkeypatch):
+        """Like the reference: a transposed result would change the bits of
+        layout-dependent reductions downstream (``features()``'s mean)."""
+        rng = np.random.default_rng(batch)
+        planes = planes_for(ternary(rng, 12, 40, 0.6))
+        x = rng.standard_normal((batch, 40)).astype(np.float32)
+        if scratch is not None:
+            monkeypatch.setattr(kernels, "GATHER_SCRATCH_BYTES", scratch)
+        got = FusedBackend().matmul(x, FusedBackend().prepare(planes))
+        assert got.flags.c_contiguous and got.shape == (batch, 12)
+        assert_bitwise(got, ternary_matmul(x, planes))
+
+    @pytest.mark.parametrize("width", [8, 16])
+    def test_features_bitwise_equal_reference(self, width):
+        from repro.serving import PackedModel
+
+        image = tiny_model_image(width)
+        fused, reference = PackedModel(image), PackedModel(image, kernel="reference")
+        rng = np.random.default_rng(width)
+        for batch in (1, 32):
+            x = rng.standard_normal((batch, 49, 10)).astype(np.float32)
+            assert_bitwise(fused.features(x), reference.features(x), f"features b{batch}")
+            assert_bitwise(fused(x), reference(x), f"scores b{batch}")
+
+
+class TestProbe:
+    """The one-time probe: lane schedules run only where they reproduce
+    this NumPy's ``reduceat``; otherwise every plane takes the
+    ``reduceat`` pass, still bitwise identical."""
+
+    def test_probe_accepts_this_numpy(self):
+        from repro.serving import PackedModel
+
+        assert FusedBackend().lane_schedule is True
+        packed = PackedModel(tiny_model_image())
+        prepared = [p for plan in packed._plans.values() for p in (plan.wb, plan.wc) if p]
+        assert prepared and all(p.schedule is not None for p in prepared)
+
+    def test_probe_rejects_another_association(self, monkeypatch):
+        """Lanes stored in natural order combine as ((r0+r4)+(r2+r6))+…:
+        the probe must see the difference."""
+        natural = (1 + 8 * np.arange(16)[:, None] + np.arange(8))[:, :, None]
+        monkeypatch.setattr(kernels_fast, "_BLOCK_ENTRIES", natural)
+        assert kernels_fast._probe_lanes() is False
+
+    def test_failed_probe_runs_reduceat_everywhere(self, monkeypatch):
+        from repro.serving import PackedModel
+
+        monkeypatch.setattr(kernels_fast, "_LANES_EXACT", False)
         backend = FusedBackend()
-        # nnz 160 >= cols 40, and 160 // 8 segments = 20 >= MIN_VECTOR_SEGMENT
-        dense = backend.prepare(planes_for(np.ones((4, 40), dtype=np.int8)))
-        # nnz 4 < cols 40
-        sparse = backend.prepare(planes_for(np.eye(4, 40, dtype=np.int8)))
-        assert backend._feature_major(dense)
-        assert not backend._feature_major(sparse)
+        assert backend.lane_schedule is False
+        image = tiny_model_image()
+        fused, reference = PackedModel(image), PackedModel(image, kernel="reference")
+        prepared = [p for plan in fused._plans.values() for p in (plan.wb, plan.wc) if p]
+        assert prepared and all(p.schedule is None for p in prepared)
+        rng = np.random.default_rng(14)
+        for batch in (1, 17):
+            x = rng.standard_normal((batch, 49, 10)).astype(np.float32)
+            assert_bitwise(fused(x), reference(x), f"scores b{batch}")
+            assert_bitwise(fused.features(x), reference.features(x), f"features b{batch}")
+        for rows, cols, density in ((5, 30, 0.5), (12, 200, 0.9), (3, 7, 0.0)):
+            planes = planes_for(ternary(rng, rows, cols, density))
+            x = rng.standard_normal((9, cols)).astype(np.float32)
+            assert_bitwise(backend.matmul(x, backend.prepare(planes)), ternary_matmul(x, planes))
 
 
 class TestNarrowAccumulation:
@@ -283,21 +478,11 @@ class TestPlanAccounting:
         prepared = FusedBackend().prepare(planes)
         assert isinstance(prepared, FusedPlanes)
         assert (prepared.rows, prepared.cols, prepared.nnz) == (6, 12, planes.nnz)
-        assert prepared.nbytes > 0
-
-    def test_nonempty_segments_precomputed_at_fuse_time(self):
-        """The hot path reads prepare-time arrays, never re-derives them."""
-        values = np.zeros((5, 9), dtype=np.int8)
-        values[0, :3] = 1
-        values[2, 4:6] = -1  # rows 1, 3, 4 (and their sign twins) are empty
-        prepared = FusedBackend().prepare(planes_for(values))
-        segments = 2 * prepared.rows
-        want = np.setdiff1d(np.arange(segments), prepared.empty, assume_unique=True)
-        np.testing.assert_array_equal(prepared.nonempty, want)
-        np.testing.assert_array_equal(
-            prepared.nonempty_bounds, prepared.bounds[prepared.nonempty]
+        assert prepared.order.dtype == np.int32  # one int32 gather order
+        assert prepared.nbytes == (
+            prepared.order.nbytes + prepared.lengths.nbytes + prepared.schedule.nbytes
         )
-        assert prepared.nonempty.size + prepared.empty.size == segments
+        assert prepared.nbytes < planes.nbytes
 
     def test_packed_model_kernel_selection(self):
         from repro.serving import PackedModel
