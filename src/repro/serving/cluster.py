@@ -47,7 +47,9 @@ a router in front:
   single requests after a p99-derived delay, first result wins; and
   :meth:`ClusterRouter.set_brownout` sheds LOW traffic while a
   :class:`~repro.serving.resilience.BrownoutController` observes sustained
-  overload in the telemetry snapshot.
+  overload in the telemetry snapshot.  A retried or hedged request is one
+  :class:`~repro.serving.resilience.ResilientRequest`, and each of its legs
+  goes through the router's single dispatch path.
 * A **zero-copy shared-memory data plane** (:mod:`repro.serving.shm`): by
   default request payloads are written once into a slab of a
   ``multiprocessing.shared_memory`` ring and workers read them as zero-copy
@@ -59,10 +61,10 @@ a router in front:
   identical predictions.  Slab leases are tracked parent-side only: a reply
   (or the worker's death) releases the request's slab, and ``stop()``
   unlinks the segment, so crashes cannot leak shared memory.
-* :meth:`WorkerPool.submit_many` / :meth:`ClusterRouter.submit_many` submit
-  a burst of requests as **one control frame** — one syscall, one pipe
-  message, one coalesced engine flush — which is what makes large batch
-  shapes cheap on top of the slab plane.
+* :meth:`ClusterRouter.submit_many` (over :meth:`WorkerPool.submit_encoded`)
+  submits a burst of requests as **one control frame** — one syscall, one
+  pipe message, one coalesced engine flush — which is what makes large
+  batch shapes cheap on top of the slab plane.
 
 Deadlines are carried across the process boundary as absolute
 ``time.monotonic()`` timestamps (system-wide on every major OS), so time a
@@ -83,7 +85,7 @@ import multiprocessing
 import os
 import threading
 import time
-from collections import deque
+from collections import Counter, deque
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -120,6 +122,7 @@ from repro.serving.resilience import (
     BreakerPolicy,
     HedgePolicy,
     ResilienceStats,
+    ResilientRequest,
     RestartBackoffPolicy,
     RetryPolicy,
 )
@@ -384,6 +387,13 @@ def _worker_main(
 # --------------------------------------------------------------------------- #
 # parent-side pool
 # --------------------------------------------------------------------------- #
+
+
+def _fail_crashed(futures: Sequence[Future], message: str) -> None:
+    """Fail every future no reply resolved with :class:`WorkerCrashed`."""
+    for future in futures:
+        if future.set_running_or_notify_cancel():
+            future.set_exception(WorkerCrashed(message))
 
 
 class _WorkerHandle:
@@ -801,11 +811,7 @@ class WorkerPool:
             # a worker wedged past the joins never answered these requests,
             # and its reader's _on_exit will see a cleared slot and bail —
             # fail them here so no caller blocks on a forever-pending future
-            for future in orphaned:
-                if future.set_running_or_notify_cancel():
-                    future.set_exception(
-                        WorkerCrashed("pool stopped with the request still in flight")
-                    )
+            _fail_crashed(orphaned, "pool stopped with the request still in flight")
 
     def __enter__(self) -> "WorkerPool":
         """Start the pool for the duration of a ``with`` block."""
@@ -912,26 +918,6 @@ class WorkerPool:
         handle.traces.clear()  # a dead worker's spans are never coming
         return dead
 
-    def submit(
-        self,
-        worker_id: int,
-        name: str,
-        x: np.ndarray,
-        *,
-        deadline: Optional[float] = None,
-        priority: Priority = Priority.NORMAL,
-    ) -> "Future[np.ndarray]":
-        """Send one request to a specific worker; the future resolves to its
-        result row (or to ``DeadlineExceeded`` / ``RoutingError`` /
-        ``WorkerCrashed``).
-
-        ``deadline`` is an absolute ``time.monotonic()`` timestamp so pipe
-        queueing time counts against the budget.  The payload rides the
-        shared-memory plane when a slab is available and falls back to the
-        pipe otherwise.
-        """
-        return self.submit_many(worker_id, name, [x], deadline=deadline, priority=priority)[0]
-
     def encode_burst(
         self, xs: Sequence[np.ndarray]
     ) -> List[Tuple[tuple, Optional[int], Optional[str]]]:
@@ -962,33 +948,6 @@ class WorkerPool:
             for _, slab_id, _ in encoded:
                 self._release_slab(slab_id)
 
-    def submit_many(
-        self,
-        worker_id: int,
-        name: str,
-        xs: Sequence[np.ndarray],
-        *,
-        deadline: Optional[float] = None,
-        priority: Priority = Priority.NORMAL,
-    ) -> List["Future[np.ndarray]"]:
-        """Send a burst of requests to one worker as a single control frame.
-
-        All payloads are encoded (slab writes or pipe fallbacks) and the
-        whole burst crosses the pipe in **one** message — one syscall and
-        one worker wake-up for the batch, which the worker coalesces into
-        one engine flush.  Futures are returned in submission order; on a
-        closed pipe every future fails :class:`~repro.errors.WorkerCrashed`
-        and every leased slab is reclaimed immediately.
-        """
-        encoded = self.encode_burst(xs)
-        try:
-            return self.submit_encoded(
-                worker_id, name, encoded, deadline=deadline, priority=priority
-            )
-        except BaseException:
-            self.release_encoded(encoded)
-            raise
-
     def submit_encoded(
         self,
         worker_id: int,
@@ -1000,6 +959,11 @@ class WorkerPool:
         trace: Optional[Trace] = None,
     ) -> List["Future[np.ndarray]"]:
         """Register and send an already-encoded burst (:meth:`encode_burst`).
+
+        The burst crosses the pipe as **one** message, which the worker
+        coalesces into one engine flush; futures come back in burst order.
+        ``deadline`` is absolute ``time.monotonic()``, so pipe queueing
+        counts against it.
 
         ``trace`` attaches a sampled :class:`~repro.serving.telemetry.Trace`
         to the burst's first request: the control frame carries its request
@@ -1061,11 +1025,7 @@ class WorkerPool:
                     if handle.inflight.pop(req_id, None) is not None:
                         self._release_slab(slab_id)
                         orphaned.append(future)
-            for future in orphaned:
-                if future.set_running_or_notify_cancel():
-                    future.set_exception(
-                        WorkerCrashed(f"worker {worker_id} pipe closed during submit")
-                    )
+            _fail_crashed(orphaned, f"worker {worker_id} pipe closed during submit")
         return futures
 
     def load(self, worker_id: int, name: str, image_bytes: bytes) -> None:
@@ -1096,9 +1056,9 @@ class WorkerPool:
         except OSError:
             pass
 
-    def ping(self, worker_id: int, timeout: float = _JOIN_TIMEOUT_S):
-        """Round-trip health probe; returns ``(resident_bytes, model_names)``
-        as the worker itself reports them, or ``None`` on timeout/death."""
+    def _ask(self, worker_id: int, op: str, timeout: float) -> Optional[tuple]:
+        """Round-trip one probe command (``ping`` / ``kprofile_snap``);
+        returns the reply's payload, or ``None`` on timeout/death."""
         event = threading.Event()
         entry = [event, None]
         with self._lock:
@@ -1108,7 +1068,7 @@ class WorkerPool:
             token = next(self._req_ids)
             handle.pings[token] = entry
         try:
-            self._send(handle, ("ping", token))
+            self._send(handle, (op, token))
         except OSError:
             return None
         if not event.wait(timeout):
@@ -1116,6 +1076,12 @@ class WorkerPool:
                 handle.pings.pop(token, None)
             return None
         return entry[1]
+
+    def ping(self, worker_id: int, timeout: float = _JOIN_TIMEOUT_S):
+        """Round-trip health probe; returns ``(resident_bytes, model_names)``
+        as the worker itself reports them, or ``None`` on timeout/death."""
+        reply = self._ask(worker_id, "ping", timeout)
+        return None if reply is None else (reply[0], tuple(reply[1]))
 
     def health(self, timeout: float = _JOIN_TIMEOUT_S) -> Dict[int, dict]:
         """Probe every worker; returns per-worker ``{alive, restarts,
@@ -1169,24 +1135,9 @@ class WorkerPool:
         """
         merged = KernelProfile()
         for worker_id in self.worker_ids():
-            event = threading.Event()
-            entry = [event, None]
-            with self._lock:
-                handle = self._handles.get(worker_id)
-                if handle is None or not self._started:
-                    continue
-                token = next(self._req_ids)
-                handle.pings[token] = entry
-            try:
-                self._send(handle, ("kprofile_snap", token))
-            except OSError:
-                continue
-            if not event.wait(timeout):
-                with self._lock:
-                    handle.pings.pop(token, None)
-                continue
-            if entry[1]:
-                merged.merge(entry[1])
+            reply = self._ask(worker_id, "kprofile_snap", timeout)
+            if reply is not None and reply[0]:
+                merged.merge(reply[0])
         return merged.snapshot()
 
     # -- chaos hooks (used by tests and benchmarks) ------------------------ #
@@ -1249,63 +1200,21 @@ class WorkerPool:
             self._on_message(handle, msg)
         self._on_exit(handle)
 
-    def _pop_inflight(self, handle: _WorkerHandle, req_id: int) -> Tuple[Optional[Future], Optional[int]]:
-        """Claim the (future, slab) for one request id (None if unknown)."""
-        with self._lock:
-            # an errored/expired traced request never gets worker spans, so
-            # its pending trace is dropped here with the in-flight entry (a
-            # served request's trace was already claimed by its "spans"
-            # reply, which the worker sends first)
-            handle.traces.pop(req_id, None)
-            return handle.inflight.pop(req_id, (None, None))
-
     def _on_message(self, handle: _WorkerHandle, msg: tuple) -> None:
         """Dispatch one worker reply on the reader thread.
 
-        Any terminal reply releases the request's slab lease; ``sresult``
-        reads the response payload out of the slab first.
+        A terminal reply (``sresult`` / ``result`` / ``deadline`` /
+        ``error``) claims its request, drops its pending trace, releases
+        its slab lease (``sresult`` first copies the response out of the
+        slab) and counts it as served or as a deadline miss, all in one
+        pool-lock step; the future resolves after the lock is released.
         """
         op = msg[0]
-        if op == "sresult":
-            _, req_id, shape, dtype = msg
-            future, slab_id = self._pop_inflight(handle, req_id)
-            result = None
-            if future is not None and slab_id is not None:
-                # copy out before the release recycles the slab
-                result = self._slab_pool.read(slab_id, shape, dtype)
-            with self._lock:
-                self._release_slab(slab_id)
-                handle.served += 1
-            if future is not None and future.set_running_or_notify_cancel():
-                future.set_result(result)
-        elif op == "result":
-            future, slab_id = self._pop_inflight(handle, msg[1])
-            with self._lock:
-                self._release_slab(slab_id)  # shm request, oversized result
-                handle.served += 1
-            if future is not None and future.set_running_or_notify_cancel():
-                future.set_result(msg[2])
-        elif op == "deadline":
-            future, slab_id = self._pop_inflight(handle, msg[1])
-            with self._lock:
-                self._release_slab(slab_id)
-                handle.deadline_misses += 1
-            if future is not None and future.set_running_or_notify_cancel():
-                future.set_exception(
-                    DeadlineExceeded("request expired before its micro-batch was scheduled")
-                )
-        elif op == "error":
-            future, slab_id = self._pop_inflight(handle, msg[1])
-            kind, text = msg[2], msg[3]
-            with self._lock:
-                self._release_slab(slab_id)
-            if future is not None and future.set_running_or_notify_cancel():
-                exc: Exception = (
-                    RoutingError(text) if kind == "routing"
-                    else RuntimeError(f"worker {handle.worker_id}: {text}")
-                )
-                future.set_exception(exc)
-        elif op == "spans":
+        if op in ("loaded", "unloaded", "load_error"):
+            # msg[1] names a model, not a request; the router keeps the
+            # authoritative placement and size accounting
+            return
+        if op == "spans":
             # worker-side lifecycle spans for a sampled request; the worker
             # sends them before the result, so the merge happens-before the
             # future resolves (same pipe, same reader thread)
@@ -1314,20 +1223,42 @@ class WorkerPool:
             if trace is not None:
                 for span_name, start_s, end_s in msg[2]:
                     trace.add(span_name, start_s, end_s)
-        elif op == "pong":
+            return
+        if op in ("pong", "kprofile"):  # a probe reply for _ask
             with self._lock:
                 entry = handle.pings.pop(msg[1], None)
             if entry is not None:
-                entry[1] = (msg[2], tuple(msg[3]))
+                entry[1] = msg[2:]
                 entry[0].set()
-        elif op == "kprofile":
-            with self._lock:
-                entry = handle.pings.pop(msg[1], None)
-            if entry is not None:
-                entry[1] = msg[2]
-                entry[0].set()
-        # "loaded" / "unloaded" / "load_error" acknowledgements need no action:
-        # the router keeps the authoritative placement + size accounting.
+            return
+        with self._lock:
+            # an errored/expired traced request never gets worker spans, so
+            # its pending trace is dropped with the in-flight entry (a
+            # served request's trace was already claimed by its "spans"
+            # reply, which the worker sends first)
+            handle.traces.pop(msg[1], None)
+            future, slab_id = handle.inflight.pop(msg[1], (None, None))
+            result = msg[2] if op == "result" else None
+            if op == "sresult" and slab_id is not None:
+                # copy out before the release recycles the slab
+                result = self._slab_pool.read(slab_id, msg[2], msg[3])
+            self._release_slab(slab_id)  # a "result" may answer a shm request
+            if op in ("sresult", "result"):
+                handle.served += 1
+            elif op == "deadline":
+                handle.deadline_misses += 1
+        if future is None or not future.set_running_or_notify_cancel():
+            return
+        if op in ("sresult", "result"):
+            future.set_result(result)
+        elif op == "deadline":
+            future.set_exception(
+                DeadlineExceeded("request expired before its micro-batch was scheduled")
+            )
+        elif msg[2] == "routing":
+            future.set_exception(RoutingError(msg[3]))
+        else:
+            future.set_exception(RuntimeError(f"worker {handle.worker_id}: {msg[3]}"))
 
     def _on_exit(self, handle: _WorkerHandle) -> None:
         """Reader saw EOF: fail in-flight work, reclaim the dead worker's
@@ -1345,13 +1276,9 @@ class WorkerPool:
             dead = self._reclaim_slabs(handle)
             stopping = handle.stopping or not self._started
         handle.proc.join(_JOIN_TIMEOUT_S)
-        for future in dead:
-            if future.set_running_or_notify_cancel():
-                future.set_exception(
-                    WorkerCrashed(
-                        f"worker {handle.worker_id} died with {len(dead)} request(s) in flight"
-                    )
-                )
+        _fail_crashed(
+            dead, f"worker {handle.worker_id} died with {len(dead)} request(s) in flight"
+        )
         if stopping:
             return
         with self._lock:
@@ -1506,6 +1433,108 @@ class WorkerPool:
 # --------------------------------------------------------------------------- #
 
 
+class _Ledger:
+    """Every counter of one :class:`ClusterRouter` (guarded by its lock).
+
+    :meth:`claim` and :meth:`release` move the admission state together:
+    the pending count, the replica-normalized weight (an R-replica model's
+    request charges 1/R of a slot, see :class:`PriorityPolicy`) and the
+    depth per class and per key.  ``resilience`` counts retry, hedge and
+    brownout-shed outcomes under their :class:`ResilienceStats` names.
+    """
+
+    def __init__(self, window: int) -> None:
+        self.window = window
+        self.pending = 0
+        self.weight = 0.0
+        self.evictions = 0
+        self.depth: Counter = Counter()  # priority -> admitted-but-unresolved
+        self.key_depth: Counter = Counter()  # key -> the same, no zero entries
+        self.shed: Counter = Counter()  # priority -> admission sheds
+        self.shed_by_key: Counter = Counter()
+        self.errors_by_key: Counter = Counter()  # failed completions
+        self.errors_by_type: Counter = Counter()  # failed attempts, by exception
+        self.completions: Counter = Counter()  # priority -> successes
+        self.completions_by_key: Counter = Counter()
+        self.latency_by_class: Dict[Priority, Deque[float]] = {
+            p: deque(maxlen=window) for p in Priority
+        }
+        self.latency_by_key: Dict[str, Deque[float]] = {}
+        self.resilience: Counter = Counter()
+
+    def claim(self, priority: Priority, key: str, n: int, weight: float) -> None:
+        """Admit ``n`` requests of one class to one key."""
+        self.pending += n
+        self.weight += weight
+        self.depth[priority] += n
+        self.key_depth[key] += n
+
+    def release(self, priority: Priority, key: str, n: int, weight: float) -> None:
+        """Return what :meth:`claim` took, drift-proofed.
+
+        Fractional weights (1/replicas) do not always cancel exactly in
+        floating point, so the weight is clamped at zero and resynced to
+        exactly 0.0 whenever the pending count empties.  A key's depth
+        entry goes at zero: deploy drains poll it (``version_pending``).
+        """
+        self.pending -= n
+        self.weight = max(0.0, self.weight - weight) if self.pending else 0.0
+        self.depth[priority] -= n
+        self.key_depth[key] -= n
+        if self.key_depth[key] <= 0:
+            del self.key_depth[key]
+
+    def shed_burst(self, priority: Priority, key: str, n: int, brownout: bool) -> None:
+        """Count ``n`` requests refused at admission (``brownout``: by it)."""
+        self.shed[priority] += n
+        self.shed_by_key[key] += n
+        self.errors_by_type["AdmissionError"] += n
+        if brownout:
+            self.resilience["brownout_sheds"] += n
+
+    def fail(self, key: str, exc: BaseException) -> None:
+        """Count one failed attempt against its key and exception type."""
+        self.errors_by_key[key] += 1
+        self.errors_by_type[type(exc).__name__] += 1
+
+    def complete(self, priority: Priority, key: str, elapsed_s: float) -> None:
+        """Record one successful completion and its latency."""
+        self.completions[priority] += 1
+        self.latency_by_class[priority].append(elapsed_s)
+        self.completions_by_key[key] += 1
+        self.latency_by_key.setdefault(key, deque(maxlen=self.window)).append(elapsed_s)
+
+    def forget(self, key: str) -> None:
+        """Drop every per-key table entry of a removed key."""
+        for table in (
+            self.latency_by_key, self.completions_by_key, self.errors_by_key, self.shed_by_key
+        ):
+            table.pop(key, None)
+
+    def stats(self) -> Dict[str, object]:
+        """The ledger's :class:`ClusterStats` fields, as fresh copies.
+
+        Every :class:`Priority` is listed, with 0 while it has no entry.
+        """
+        return {
+            "pending": self.pending,
+            "evictions": self.evictions,
+            "shed_by_priority": {p: self.shed[p] for p in Priority},
+            "queue_depth_by_priority": {p: self.depth[p] for p in Priority},
+            "latency_by_priority": {
+                p: LatencyStats.from_completions(self.completions[p], self.latency_by_class[p])
+                for p in Priority
+            },
+            "latency_by_version": {
+                key: LatencyStats.from_completions(count, self.latency_by_key.get(key, ()))
+                for key, count in self.completions_by_key.items()
+            },
+            "errors_by_version": dict(self.errors_by_key),
+            "shed_by_version": dict(self.shed_by_key),
+            "errors_by_type": dict(self.errors_by_type),
+        }
+
+
 class ClusterRouter:
     """Registry-driven front of a :class:`WorkerPool`.
 
@@ -1635,28 +1664,13 @@ class ClusterRouter:
         self._model_policies: Dict[str, PlacementPolicy] = {}  # per-model overrides
         self._placements = PlacementTable()  # key -> ReplicaSet, LRU first
         self._protected: set = set()  # keys an in-progress deploy pins against eviction
-        self._pending = 0
-        #: replica-normalized occupancy: a request to an R-replica model
-        #: charges 1/R of an admission slot (see PriorityPolicy docs)
-        self._pending_weight = 0.0
-        self._pending_by_class: Dict[Priority, int] = {p: 0 for p in Priority}
-        self._key_pending: Dict[str, int] = {}  # key -> admitted-but-unresolved
-        self._shed: Dict[Priority, int] = {p: 0 for p in Priority}
-        self._latency_by_class: Dict[Priority, Deque[float]] = {
-            p: deque(maxlen=latency_window) for p in Priority
-        }
-        self._completions: Dict[Priority, int] = {p: 0 for p in Priority}
-        self._latency_by_key: Dict[str, Deque[float]] = {}
-        self._completions_by_key: Dict[str, int] = {}
-        self._errors_by_key: Dict[str, int] = {}  # failed completions per key
-        self._shed_by_key: Dict[str, int] = {}  # admission sheds per key
+        self._ledger = _Ledger(latency_window)
         self._splits: Dict[str, _CanarySplit] = {}  # name -> traffic split
         self._scale_events: Deque[ScaleEvent] = deque(maxlen=SCALE_EVENT_WINDOW)
         self._lags: Dict[str, float] = {}  # key -> injected worker-side lag (chaos)
-        self._evictions = 0
         #: last merged per-kind kernel breakdown (kernel_profile() refreshes)
         self._kernel_profile: Dict[str, Dict[str, float]] = {}
-        # -- resilience state (all opt-in; None/zeroed when off) ----------- #
+        # -- resilience state (all opt-in; None when off) ------------------ #
         self.retry_policy = retry
         self._retry_budget = retry.make_budget() if retry is not None else None
         self._retry_tokens = itertools.count()
@@ -1665,14 +1679,6 @@ class ClusterRouter:
         self.breakers = BreakerBoard(breakers) if isinstance(breakers, BreakerPolicy) else None
         self.hedge_policy = hedge
         self._brownout = False
-        self._brownout_sheds = 0
-        self._errors_by_type: Dict[str, int] = {}
-        self._retries_attempted = 0
-        self._retries_succeeded = 0
-        self._retries_exhausted = 0
-        self._retries_budget_denied = 0
-        self._hedges = 0
-        self._hedges_won = 0
         self.telemetry = telemetry if telemetry is not None else MetricsRegistry()
         self.tracer = Tracer(trace_sample_rate, registry=self.telemetry)
         for registry in (self.telemetry, get_registry()):
@@ -1742,28 +1748,19 @@ class ClusterRouter:
             if placement is not None and not policy.equivalent(self._policy_for(name)):
                 # committed only once the budget admits; existing replica
                 # sets were planned under the old policy, so drop them —
-                # the next use re-places under the new one (unloads under
-                # the router lock, like everywhere else).  An equivalent
+                # the next use re-places under the new one.  An equivalent
                 # policy (same class, same replica count) is a no-op here:
                 # re-registering with the same spec must not cold-restart
                 # the model's placements.
                 self._model_policies[name] = policy
                 for existing_version in self._catalog.versions(name):
-                    stale = self._placements.pop(make_key(name, existing_version))
-                    if stale is not None:
-                        for worker_id in stale.workers:
-                            self.pool.unload(worker_id, stale.key)
+                    self._unplace(make_key(name, existing_version))
             with catalog_errors(ConfigError, RoutingError):
                 version = self._catalog.register(
                     name, (blob, size), version=version, activate=activate
                 )
-            # replacing: drop the stale plans; next use reloads.  The
-            # unloads go out under the router lock so they cannot land
-            # behind a concurrent submit's re-placement load
-            replica_set = self._placements.pop(make_key(name, version))
-            if replica_set is not None:
-                for worker_id in replica_set.workers:
-                    self.pool.unload(worker_id, replica_set.key)
+            # replacing: drop the stale plans; next use reloads
+            self._unplace(make_key(name, version))
 
     def remove(self, name: str, *, version: Optional[str] = None) -> None:
         """Forget a model (or one version of it), unloading its placements.
@@ -1778,18 +1775,10 @@ class ClusterRouter:
                 doomed = self._catalog.remove(name, version=version)
             for doomed_version in doomed:
                 key = make_key(name, doomed_version)
-                self._latency_by_key.pop(key, None)
-                self._completions_by_key.pop(key, None)
-                self._errors_by_key.pop(key, None)
-                self._shed_by_key.pop(key, None)
+                self._ledger.forget(key)
                 self._lags.pop(key, None)
                 self._protected.discard(key)  # a removed key must not stay pinned
-                replica_set = self._placements.pop(key)
-                if replica_set is not None:
-                    # unload under the router lock: cannot land behind a
-                    # concurrent submit's re-placement load
-                    for worker_id in replica_set.workers:
-                        self.pool.unload(worker_id, key)
+                self._unplace(key)
             if not self._catalog.has(name):
                 self._model_policies.pop(name, None)
                 self._splits.pop(name, None)
@@ -1885,16 +1874,15 @@ class ClusterRouter:
         if self.capacity_bytes is None:
             return
         while self._resident_bytes() + needed > self.capacity_bytes:
-            evicted = self._placements.pop_lru(exclude=protect)
-            if evicted is None:
+            victim = next((key for key in self._placements if key not in protect), None)
+            if victim is None:
                 raise RoutingError(
                     f"cluster byte budget ({self.capacity_bytes}) cannot admit "
                     f"{needed} more decoded bytes: every resident placement is "
                     f"pinned (in-progress deploy?)"
                 )
-            self._evictions += 1
-            for worker_id in evicted.workers:
-                self.pool.unload(worker_id, evicted.key)
+            self._ledger.evictions += 1
+            self._unplace(victim)
 
     def _plan_workers(self, name: str) -> List[int]:
         """Plan a fresh replica set for one of ``name``'s keys (under lock).
@@ -1904,20 +1892,52 @@ class ClusterRouter:
         replica sets, then id).  One code path for normal placements and
         deploy warm-ups, so both place new plans by the same rule.
         """
-        resident_count: Dict[int, int] = {wid: 0 for wid in self.pool.worker_ids()}
-        for _, placed in self._placements.items():
-            for wid in placed.workers:
-                resident_count[wid] = resident_count.get(wid, 0) + 1
         return self._policy_for(name).plan(
-            self.pool.worker_ids(), self.pool.in_flight, resident_count
+            self.pool.worker_ids(), self.pool.in_flight, self._replica_counts()
         )
 
-    def _reapply_lag(self, worker_id: int, key: str) -> None:
-        """Re-inject ``key``'s chaos lag on a worker that just loaded it
-        (under lock); no-op without an active :meth:`inject_version_lag`."""
+    def _replica_counts(self) -> Counter:
+        """Replica sets resident on each worker id (under lock)."""
+        return Counter(wid for _, placed in self._placements.items() for wid in placed.workers)
+
+    def _load(self, key: str, workers: Sequence[int], protect: set) -> ReplicaSet:
+        """Admit ``key``'s plans on ``workers`` to the byte budget (never
+        evicting ``protect``), send them, then publish them (under lock).
+
+        The loads (and any :meth:`inject_version_lag`) go out before the
+        workers join ``key``'s replica set: ``pool.load`` raises once the
+        pool has stopped, and a set published first would outlive the stop
+        and route every later request to a worker that never loaded it.
+        Under the router lock, no burst frame can enter a pipe ahead of
+        its worker's load.
+        """
+        self._admit_bytes(self._size_of(key) * len(workers), protect)
+        name, version = split_key(key)
+        blob = self._catalog.get(name, version)[0]
         lag = self._lags.get(key)
-        if lag:
-            self.pool.inject_lag(worker_id, key, lag)
+        for worker_id in workers:
+            self.pool.load(worker_id, key, blob)
+            if lag:
+                self.pool.inject_lag(worker_id, key, lag)
+        replica_set = self._placements.get(key)
+        if replica_set is None:
+            replica_set = ReplicaSet(key, workers, self._policy_for(name))
+            self._placements.insert(replica_set)
+        else:
+            for worker_id in workers:
+                replica_set.add_replica(worker_id)
+        return replica_set
+
+    def _unplace(self, key: str) -> None:
+        """Drop ``key``'s replica set and unload its plans (under lock).
+
+        The unloads go out under the router lock, so they cannot land
+        behind a concurrent submit's re-placement load.
+        """
+        replica_set = self._placements.pop(key)
+        if replica_set is not None:
+            for worker_id in replica_set.workers:
+                self.pool.unload(worker_id, key)
 
     def _place(self, key: str) -> ReplicaSet:
         """Replica-set lookup, or a fresh placement by policy (under lock).
@@ -1930,34 +1950,13 @@ class ClusterRouter:
         replica_set = self._placements.get(key)
         if replica_set is not None:
             return replica_set
-        name, version = split_key(key)
-        workers = self._plan_workers(name)
-        self._admit_bytes(
-            self._size_of(key) * len(workers), protect=self._protected | {key}
-        )
-        replica_set = ReplicaSet(key, workers, self._policy_for(name))
-        self._placements.insert(replica_set)
-        blob = self._catalog.get(name, version)[0]
-        for worker_id in workers:
-            self.pool.load(worker_id, key, blob)
-            self._reapply_lag(worker_id, key)
-        return replica_set
+        workers = self._plan_workers(split_key(key)[0])
+        return self._load(key, workers, self._protected | {key})
 
     def _resident_bytes(self) -> int:
         """Decoded-plan bytes across every replica of every placement
         (under lock)."""
         return self._placements.resident_bytes(self._size_of)
-
-    def _drop_weight(self, weight: float) -> None:
-        """Return normalized admission weight (under lock), drift-proofed.
-
-        Fractional weights (1/replicas) do not always cancel exactly in
-        floating point, so the counter is clamped at zero and resynced to
-        exactly 0.0 whenever the raw pending count empties.
-        """
-        self._pending_weight = max(0.0, self._pending_weight - weight)
-        if self._pending == 0:
-            self._pending_weight = 0.0
 
     def _complete(
         self,
@@ -1993,14 +1992,7 @@ class ClusterRouter:
         a dying worker is evidence the breaker must not miss.
         """
         with self._lock:
-            self._pending -= 1
-            self._drop_weight(weight)
-            self._pending_by_class[priority] -= 1
-            pending = self._key_pending.get(key, 0) - 1
-            if pending > 0:
-                self._key_pending[key] = pending
-            else:
-                self._key_pending.pop(key, None)
+            self._ledger.release(priority, key, 1, weight)
             if future.cancelled():
                 return
             exc = future.exception()
@@ -2016,27 +2008,17 @@ class ClusterRouter:
                     # against the version the burst resolved to; the by-type
                     # rollup counts every failed *attempt* for the
                     # resilience plane
-                    self._errors_by_key[key] = self._errors_by_key.get(key, 0) + 1
-                    kind = type(exc).__name__
-                    self._errors_by_type[kind] = self._errors_by_type.get(kind, 0) + 1
+                    self._ledger.fail(key, exc)
                 return
-            if not record:  # hedge leg: slots freed above, stats untouched
-                replica_set.record_completion(worker_id)
-                return
-            now = time.monotonic()
-            if trace is not None:
-                # completion: from the last worker-side span back to this
-                # resolve — the return pipe hop plus reader dispatch
-                last_end = max((s.end_s for s in trace.spans), default=started)
-                trace.add("completion", last_end, now)
-                self.tracer.finish(trace)
-            elapsed = now - started
-            self._completions[priority] += 1
-            self._latency_by_class[priority].append(elapsed)
-            self._completions_by_key[key] = self._completions_by_key.get(key, 0) + 1
-            self._latency_by_key.setdefault(
-                key, deque(maxlen=self.latency_window)
-            ).append(elapsed)
+            if record:  # a hedge leg leaves the latency stats untouched
+                now = time.monotonic()
+                if trace is not None:
+                    # completion: from the last worker-side span back to this
+                    # resolve — the return pipe hop plus reader dispatch
+                    last_end = max((s.end_s for s in trace.spans), default=started)
+                    trace.add("completion", last_end, now)
+                    self.tracer.finish(trace)
+                self._ledger.complete(priority, key, now - started)
             # credit exactly the replica-set generation that dispatched
             # this request (captured in the callback): after an evict +
             # re-place the key may map to a NEW set that never saw this
@@ -2075,22 +2057,12 @@ class ClusterRouter:
                 workers = self._plan_workers(name)
             self._protected.update({old_key, new_key})
             try:
-                self._admit_bytes(
-                    self._size_of(new_key) * len(workers), protect=self._protected
-                )
+                self._load(new_key, workers, self._protected)
             except BaseException:
                 self._protected.discard(new_key)
                 if old_key != new_key:
                     self._protected.discard(old_key)
                 raise
-            self._placements.insert(ReplicaSet(new_key, workers, self._policy_for(name)))
-            # load under the router lock, like _place(): a concurrent
-            # version-pinned submit that sees the fresh replica set cannot
-            # slip its burst frame into the pipe ahead of these loads
-            blob = self._catalog.get(name, version)[0]
-            for worker_id in workers:
-                self.pool.load(worker_id, new_key, blob)
-                self._reapply_lag(worker_id, new_key)
             return list(workers)
 
     def release_version(self, name: str, version: str) -> None:
@@ -2106,13 +2078,8 @@ class ClusterRouter:
         with self._lock:
             key = make_key(name, version)
             self._protected.discard(key)
-            self._latency_by_key.pop(key, None)
-            replica_set = self._placements.pop(key)
-            if replica_set is not None:
-                # unload under the router lock: cannot land behind a
-                # concurrent submit's re-placement load
-                for worker_id in replica_set.workers:
-                    self.pool.unload(worker_id, key)
+            self._ledger.latency_by_key.pop(key, None)
+            self._unplace(key)
 
     def unpin(self, name: str) -> None:
         """Drop the deploy eviction pins for every key of ``name``.
@@ -2131,7 +2098,7 @@ class ClusterRouter:
     def version_pending(self, name: str, version: str) -> int:
         """Admitted-but-unresolved requests pinned to one ``(name, version)``."""
         with self._lock:
-            return self._key_pending.get(make_key(name, version), 0)
+            return self._ledger.key_depth[make_key(name, version)]
 
     # -- control plane (driven by serving.control) -------------------------- #
 
@@ -2182,30 +2149,12 @@ class ClusterRouter:
                 return None
             if target > before:
                 members = set(replica_set.workers)
-                resident_count: Dict[int, int] = {}
-                for _, placed in self._placements.items():
-                    for wid in placed.workers:
-                        resident_count[wid] = resident_count.get(wid, 0) + 1
+                resident_count = self._replica_counts()
                 candidates = sorted(
                     (wid for wid in self.pool.worker_ids() if wid not in members),
-                    key=lambda wid: (
-                        self.pool.in_flight(wid),
-                        resident_count.get(wid, 0),
-                        wid,
-                    ),
+                    key=lambda wid: (self.pool.in_flight(wid), resident_count[wid], wid),
                 )
-                added = candidates[: target - before]
-                self._admit_bytes(
-                    self._size_of(key) * len(added), protect=self._protected | {key}
-                )
-                blob = self._catalog.get(name, resolved)[0]
-                for wid in added:
-                    # load + join under the router lock: the replica cannot
-                    # be picked before its plans are ahead of any burst in
-                    # its pipe (same ordering argument as _place)
-                    self.pool.load(wid, key, blob)
-                    self._reapply_lag(wid, key)
-                    replica_set.add_replica(wid)
+                self._load(key, candidates[: target - before], self._protected | {key})
             else:
                 victims = sorted(
                     replica_set.workers,
@@ -2338,7 +2287,7 @@ class ClusterRouter:
         version)`` and dispatches to one replica chosen by the placement
         policy, shares one deadline budget measured from this call, and
         crosses the worker pipe as a single message
-        (:meth:`WorkerPool.submit_many`), so large batch shapes cost one
+        (:meth:`WorkerPool.submit_encoded`), so large batch shapes cost one
         syscall, not one per request.
 
         With a router-level :class:`~repro.serving.resilience.RetryPolicy`
@@ -2349,8 +2298,11 @@ class ClusterRouter:
         after seeded exponential backoff, within the deadline and the
         global retry budget — and the caller's future only fails once the
         policy gives up.  With a :class:`~repro.serving.resilience.HedgePolicy`
-        a ``HIGH``-priority *single* request is additionally hedge-wrapped
+        a ``HIGH``-priority *single* request is additionally hedged
         (duplicate dispatch after a p99-derived delay, first result wins).
+        Each wrapped request is one
+        :class:`~repro.serving.resilience.ResilientRequest` whose legs all
+        go through :meth:`_submit_once`.
         """
         if not self.pool.running:
             raise RoutingError("cluster not started; call start() or use a with block")
@@ -2362,31 +2314,31 @@ class ClusterRouter:
         futures, key, worker_id = self._submit_once(
             xs, model=model, version=version, priority=priority, deadline=deadline
         )
+        retry = self.retry_policy
+        hedge_delay_s = None
+        if self.hedge_policy is not None and priority == Priority.HIGH and len(xs) == 1:
+            hedge_delay_s = self.hedge_policy.effective_delay_s(self._high_p99_s())
+        if retry is None and hedge_delay_s is None:
+            return futures
+        if retry is not None:
+            self._retry_budget.note(len(xs))
         # version is pinned for re-dispatch: a retry/hedge leg must be
         # bitwise identical to the first attempt even across a concurrent
         # activate/canary flip, so it targets the resolved key, not `model`
-        name_, version_ = split_key(key)
-        if self.retry_policy is not None:
-            self._retry_budget.note(len(xs))
-            futures = [
-                self._wrap_retry(
-                    future, x, name=name_, version=version_, priority=priority,
-                    deadline=deadline, worker_id=worker_id,
-                )
-                for future, x in zip(futures, xs)
-            ]
-        if (
-            self.hedge_policy is not None
-            and priority == Priority.HIGH
-            and len(futures) == 1
-        ):
-            futures = [
-                self._wrap_hedge(
-                    futures[0], xs[0], name=name_, version=version_,
-                    deadline=deadline, primary_worker=worker_id,
-                )
-            ]
-        return futures
+        name, pinned = split_key(key)
+        return [
+            ResilientRequest(
+                functools.partial(
+                    self._submit_once, [x], model=name, version=pinned,
+                    priority=priority, deadline=deadline,
+                ),
+                self._tally, running=lambda: self.pool.running, deadline=deadline,
+                retry=retry, budget=self._retry_budget,
+                token=next(self._retry_tokens) if retry is not None else 0,
+                hedge_delay_s=hedge_delay_s,
+            ).start(future, worker_id)
+            for future, x in zip(futures, xs)
+        ]
 
     def _submit_once(
         self,
@@ -2431,16 +2383,12 @@ class ClusterRouter:
             # a replicated model admits proportionally more work while other
             # models' watermarks (and HIGH's reserved headroom) still hold
             weight = len(xs) / replicas
-            if not self.policy.admits(
-                priority, self._pending_weight, weight, brownout=self._brownout
-            ):
-                self._shed[priority] += len(xs)
-                self._shed_by_key[key] = self._shed_by_key.get(key, 0) + len(xs)
-                self._errors_by_type["AdmissionError"] = (
-                    self._errors_by_type.get("AdmissionError", 0) + len(xs)
-                )
-                if self._brownout and priority == Priority.LOW:
-                    self._brownout_sheds += len(xs)
+            occupancy = self._ledger.weight
+            if not self.policy.admits(priority, occupancy, weight, brownout=self._brownout):
+                brownout = self._brownout and priority == Priority.LOW
+                if record:  # a refused hedge leg never counts against its request
+                    self._ledger.shed_burst(priority, key, len(xs), brownout)
+                if brownout:
                     raise AdmissionError(
                         f"brownout active: LOW burst of {len(xs)} shed "
                         f"(graceful degradation, see resilience.BrownoutController)"
@@ -2450,13 +2398,11 @@ class ClusterRouter:
                     f"({self.policy.admit_limit(priority)} of "
                     f"{self.policy.max_pending}) cannot fit a burst of "
                     f"{len(xs)} (weight {weight:g} at {replicas} replica(s)) "
-                    f"at normalized occupancy {self._pending_weight:g}; "
+                    f"at normalized occupancy {occupancy:g}; "
                     f"burst shed"
                 )
-            self._pending += len(xs)  # claim the slots before dropping the lock
-            self._pending_weight += weight
-            self._pending_by_class[priority] += len(xs)
-            self._key_pending[key] = self._key_pending.get(key, 0) + len(xs)
+            # claim the slots before dropping the lock
+            self._ledger.claim(priority, key, len(xs), weight)
         encoded = None
         started = time.monotonic()
         if trace is not None:
@@ -2490,33 +2436,17 @@ class ClusterRouter:
             if encoded is not None:
                 self.pool.release_encoded(encoded)
             with self._lock:
-                self._pending -= len(xs)
-                self._drop_weight(weight)
-                self._pending_by_class[priority] -= len(xs)
-                pending = self._key_pending.get(key, 0) - len(xs)
-                if pending > 0:
-                    self._key_pending[key] = pending
-                else:
-                    self._key_pending.pop(key, None)
+                self._ledger.release(priority, key, len(xs), weight)
             raise
         release = functools.partial(
-            self._complete, priority, key, replica_set, worker_id, 1.0 / replicas,
-            started, None, record,
+            self._complete, priority, key, replica_set, worker_id, 1.0 / replicas, started
         )
-        if trace is not None:
-            # the burst's first request carries the trace; only its
-            # completion closes and retains it (one trace per burst)
-            futures[0].add_done_callback(
-                functools.partial(
-                    self._complete, priority, key, replica_set, worker_id,
-                    1.0 / replicas, started, trace, record,
-                )
-            )
-            for future in futures[1:]:
-                future.add_done_callback(release)
-        else:
-            for future in futures:
-                future.add_done_callback(release)
+        # the burst's first request carries the trace (None when unsampled);
+        # only its completion closes and retains it (one trace per burst)
+        futures[0].add_done_callback(functools.partial(release, trace, record))
+        untraced = functools.partial(release, None, record)
+        for future in futures[1:]:
+            future.add_done_callback(untraced)
         return futures, key, worker_id
 
     def _pick_replica(self, replica_set: ReplicaSet, avoid: frozenset) -> int:
@@ -2541,282 +2471,22 @@ class ClusterRouter:
             self.breakers.note_dispatch(worker_id)
         return worker_id
 
-    # -- resilience: retries ------------------------------------------------ #
+    # -- resilience: retries and hedges -------------------------------------- #
 
-    def _wrap_retry(
-        self,
-        future: "Future[np.ndarray]",
-        x: np.ndarray,
-        *,
-        name: str,
-        version: str,
-        priority: Priority,
-        deadline: Optional[float],
-        worker_id: int,
-    ) -> "Future[np.ndarray]":
-        """Wrap one dispatched future in the transparent-retry state machine.
-
-        The caller holds the wrapper; each underlying attempt reports into
-        :meth:`_retry_done`, which either settles the wrapper or schedules
-        the next attempt.  ``state["avoid"]`` accumulates every replica
-        that failed this request, so each re-dispatch is steered to a
-        fresh one; ``state["token"]`` seeds this request's deterministic
-        backoff schedule (:meth:`RetryPolicy.backoff_s`).
-        """
-        wrapper: "Future[np.ndarray]" = Future()
-        state = {
-            "attempt": 0,
-            "avoid": {worker_id},
-            "token": next(self._retry_tokens),
-        }
-        future.add_done_callback(
-            functools.partial(
-                self._retry_done, wrapper, state, x, name, version, priority, deadline
-            )
-        )
-        return wrapper
-
-    def _retry_done(
-        self,
-        wrapper: "Future[np.ndarray]",
-        state: dict,
-        x: np.ndarray,
-        name: str,
-        version: str,
-        priority: Priority,
-        deadline: Optional[float],
-        future: "Future[np.ndarray]",
-    ) -> None:
-        """One attempt resolved: settle the wrapper or schedule a retry.
-
-        Gives up (failing the wrapper with the attempt's error) when the
-        error is not retryable, attempts are exhausted, the pool stopped,
-        the backoff would overrun the deadline, or the global retry budget
-        denies the spend — each terminal path leaves the *original*
-        exception on the wrapper, so callers see the same error types with
-        or without a retry policy.
-        """
-        if future.cancelled():
-            wrapper.cancel()
-            return
-        exc = future.exception()
-        if exc is None:
-            if state["attempt"] > 0:
-                with self._lock:
-                    self._retries_succeeded += 1
-            if wrapper.set_running_or_notify_cancel():
-                wrapper.set_result(future.result())
-            return
-        policy = self.retry_policy
-        attempt = state["attempt"] + 1  # 1-based index of the retry to schedule
-        delay = 0.0
-        give_up = not policy.retryable(exc) or not self.pool.running
-        if not give_up and attempt >= policy.max_attempts:
-            give_up = True
-            with self._lock:
-                self._retries_exhausted += 1
-        if not give_up:
-            delay = policy.backoff_s(state["token"], attempt)
-            if deadline is not None and time.monotonic() + delay >= deadline:
-                give_up = True  # the retry could never beat the deadline
-        if not give_up and not self._retry_budget.try_spend(1):
-            give_up = True
-            with self._lock:
-                self._retries_budget_denied += 1
-        if give_up:
-            if wrapper.set_running_or_notify_cancel():
-                wrapper.set_exception(exc)
-            return
-        state["attempt"] = attempt
+    def _tally(self, name: str) -> None:
+        """Count one retry or hedge outcome (a :class:`ResilienceStats` field)."""
         with self._lock:
-            self._retries_attempted += 1
-        timer = threading.Timer(
-            delay,
-            self._retry_fire,
-            args=(wrapper, state, x, name, version, priority, deadline, exc),
-        )
-        timer.daemon = True
-        timer.start()
-
-    def _retry_fire(
-        self,
-        wrapper: "Future[np.ndarray]",
-        state: dict,
-        x: np.ndarray,
-        name: str,
-        version: str,
-        priority: Priority,
-        deadline: Optional[float],
-        prior_exc: BaseException,
-    ) -> None:
-        """Backoff elapsed: re-dispatch the request to a fresh replica.
-
-        The re-submit pays full admission again (a retry storm is shed
-        exactly like first-time traffic); if admission, routing or the
-        pool reject it, the wrapper fails with that error chained onto the
-        attempt's original failure.
-        """
-        if wrapper.cancelled():
-            return
-        try:
-            futures, _, worker_id = self._submit_once(
-                [x], model=name, version=version, priority=priority,
-                deadline=deadline, avoid=frozenset(state["avoid"]),
-            )
-        except BaseException as exc:  # admission/routing/pool rejection
-            exc.__cause__ = prior_exc
-            if wrapper.set_running_or_notify_cancel():
-                wrapper.set_exception(exc)
-            return
-        state["avoid"].add(worker_id)
-        futures[0].add_done_callback(
-            functools.partial(
-                self._retry_done, wrapper, state, x, name, version, priority, deadline
-            )
-        )
-
-    # -- resilience: hedging ------------------------------------------------ #
+            self._ledger.resilience[name] += 1
 
     def _high_p99_s(self) -> float:
         """Observed p99 completion latency of the HIGH class, in seconds
         (``nan`` before the first completion — the hedge policy falls back
         to its fixed ``delay_s``)."""
         with self._lock:
-            window = tuple(self._latency_by_class[Priority.HIGH])
+            window = tuple(self._ledger.latency_by_class[Priority.HIGH])
         if not window:
             return float("nan")
         return float(np.percentile(np.asarray(window, dtype=np.float64), 99))
-
-    def _wrap_hedge(
-        self,
-        primary: "Future[np.ndarray]",
-        x: np.ndarray,
-        *,
-        name: str,
-        version: str,
-        deadline: Optional[float],
-        primary_worker: int,
-    ) -> "Future[np.ndarray]":
-        """Wrap a HIGH single dispatch in a first-result-wins hedge.
-
-        A timer armed at the policy's p99-derived delay launches a
-        duplicate dispatch (``record=False``, steered off the primary's
-        replica) if the primary has not resolved by then; whichever leg
-        succeeds first settles the outer future and cancels the loser.
-        Hedging is strictly best-effort: a hedge leg that cannot even be
-        dispatched (admission, routing) is dropped silently and the
-        request rides on its remaining leg(s).
-        """
-        outer: "Future[np.ndarray]" = Future()
-        state = {
-            "lock": threading.Lock(),
-            "done": False,
-            "pending": 1,  # legs that could still deliver a result
-            "primary": primary,
-            "primary_worker": primary_worker,
-            "hedge": None,
-            "timer": None,
-            "last_exc": None,
-        }
-        delay = self.hedge_policy.effective_delay_s(self._high_p99_s())
-        timer = threading.Timer(
-            delay, self._hedge_fire, args=(outer, state, x, name, version, deadline)
-        )
-        timer.daemon = True
-        state["timer"] = timer
-        primary.add_done_callback(
-            functools.partial(self._hedge_settle, outer, state, False)
-        )
-        timer.start()
-        return outer
-
-    def _hedge_fire(
-        self,
-        outer: "Future[np.ndarray]",
-        state: dict,
-        x: np.ndarray,
-        name: str,
-        version: str,
-        deadline: Optional[float],
-    ) -> None:
-        """Hedge delay elapsed with the primary unresolved: launch the leg."""
-        with state["lock"]:
-            if state["done"] or outer.cancelled() or state["primary"].done():
-                return
-            # claim the slot before dispatching: a primary failure arriving
-            # mid-dispatch must wait for this leg instead of failing outer
-            state["pending"] += 1
-        try:
-            futures, _, _ = self._submit_once(
-                [x], model=name, version=version, priority=Priority.HIGH,
-                deadline=deadline, avoid=frozenset({state["primary_worker"]}),
-                record=False,
-            )
-        except BaseException:
-            settle = False
-            with state["lock"]:
-                state["pending"] -= 1
-                if state["pending"] == 0 and not state["done"]:
-                    state["done"] = True  # primary already failed; nothing left
-                    settle = True
-            if settle and outer.set_running_or_notify_cancel():
-                outer.set_exception(state["last_exc"])
-            return
-        hedge = futures[0]
-        with self._lock:
-            self._hedges += 1
-        cancel_now = False
-        with state["lock"]:
-            if state["done"]:
-                cancel_now = True  # the primary won while we dispatched
-            else:
-                state["hedge"] = hedge
-        if cancel_now:
-            hedge.cancel()
-            return
-        hedge.add_done_callback(
-            functools.partial(self._hedge_settle, outer, state, True)
-        )
-
-    def _hedge_settle(
-        self,
-        outer: "Future[np.ndarray]",
-        state: dict,
-        is_hedge: bool,
-        future: "Future[np.ndarray]",
-    ) -> None:
-        """One hedge leg resolved: first success wins, last failure loses."""
-        if future.cancelled():
-            return  # the loser leg, cancelled by the winner below
-        exc = future.exception()
-        loser = None
-        with state["lock"]:
-            if state["done"]:
-                return
-            if exc is not None:
-                state["last_exc"] = exc
-                state["pending"] -= 1
-                if state["pending"] > 0:
-                    return  # the other leg may still win
-                # no dispatched leg left, and no hedge can still launch:
-                # _hedge_fire claims its pending slot under this same lock
-                # before dispatching, and bails once `done` is set below
-            state["done"] = True
-            timer = state["timer"]
-            loser = state["hedge"] if not is_hedge else state["primary"]
-        if timer is not None:
-            timer.cancel()
-        if exc is not None:
-            if outer.set_running_or_notify_cancel():
-                outer.set_exception(exc)
-            return
-        if loser is not None and loser is not future:
-            loser.cancel()  # best-effort; a resolved loser is simply dropped
-        if is_hedge:
-            with self._lock:
-                self._hedges_won += 1
-        if outer.set_running_or_notify_cancel():
-            outer.set_result(future.result())
 
     # -- resilience: brownout ----------------------------------------------- #
 
@@ -2838,22 +2508,15 @@ class ClusterRouter:
     def _resilience_stats(self) -> ResilienceStats:
         """Roll the retry/hedge/breaker/brownout state into one snapshot."""
         with self._lock:
-            stats = ResilienceStats(
-                retries_attempted=self._retries_attempted,
-                retries_succeeded=self._retries_succeeded,
-                retries_exhausted=self._retries_exhausted,
-                retries_budget_denied=self._retries_budget_denied,
-                hedges=self._hedges,
-                hedges_won=self._hedges_won,
+            return ResilienceStats(
                 brownout_active=self._brownout,
-                brownout_sheds=self._brownout_sheds,
                 retry_budget=(
                     self._retry_budget.snapshot() if self._retry_budget is not None else {}
                 ),
                 breakers=self.breakers.snapshot() if self.breakers is not None else {},
                 restart_backoffs=self.pool.restart_snapshot(),
+                **self._ledger.resilience,
             )
-        return stats
 
     def predict(
         self,
@@ -2948,7 +2611,7 @@ class ClusterRouter:
     def pending(self) -> int:
         """Admitted-but-unresolved requests, cluster-wide."""
         with self._lock:
-            return self._pending
+            return self._ledger.pending
 
     def placements(self) -> Dict[str, Tuple[int, ...]]:
         """Current model key → replica worker ids (a copy).
@@ -2961,24 +2624,6 @@ class ClusterRouter:
                 key: tuple(replica_set.workers)
                 for key, replica_set in self._placements.items()
             }
-
-    def _latency_stats(self) -> Dict[Priority, LatencyStats]:
-        """Per-class percentile rollup over the latency windows (under lock)."""
-        return {
-            priority: LatencyStats.from_completions(
-                self._completions[priority], self._latency_by_class[priority]
-            )
-            for priority in Priority
-        }
-
-    def _version_stats(self) -> Dict[str, LatencyStats]:
-        """Per-version served/latency rollup over the key windows (under lock)."""
-        return {
-            key: LatencyStats.from_completions(
-                count, self._latency_by_key.get(key, ())
-            )
-            for key, count in self._completions_by_key.items()
-        }
 
     def snapshot(self) -> ClusterStats:
         """Cluster-wide counters as one consistent immutable snapshot."""
@@ -2997,15 +2642,8 @@ class ClusterRouter:
                 model: self._catalog.current_version(model)
                 for model in self._catalog.names()
             }
-            shed = dict(self._shed)
-            evictions = self._evictions
-            pending = self._pending
-            queue_depth = dict(self._pending_by_class)
-            latency = self._latency_stats()
-            latency_by_version = self._version_stats()
+            ledger = self._ledger.stats()
             resident = self._resident_bytes()
-            errors_by_version = dict(self._errors_by_key)
-            shed_by_version = dict(self._shed_by_key)
             scale_events = tuple(self._scale_events)
             canary_state = {
                 model: split.snapshot() for model, split in self._splits.items()
@@ -3013,7 +2651,6 @@ class ClusterRouter:
             kernel_profile = {
                 kind: dict(row) for kind, row in self._kernel_profile.items()
             }
-            errors_by_type = dict(self._errors_by_type)
         workers = tuple(
             WorkerStats(
                 worker_id=row["worker_id"],
@@ -3034,22 +2671,14 @@ class ClusterRouter:
             workers=workers,
             served=served,
             deadline_misses=misses,
-            shed_by_priority=shed,
             resident_bytes=resident,
-            evictions=evictions,
             crashes=self.pool.crashes,
-            pending=pending,
-            queue_depth_by_priority=queue_depth,
-            latency_by_priority=latency,
             transport=self.pool.transport_snapshot(),
             replicas=replicas,
-            latency_by_version=latency_by_version,
             current_versions=current_versions,
-            errors_by_version=errors_by_version,
-            shed_by_version=shed_by_version,
             scale_events=scale_events,
             canary_state=canary_state,
             kernel_profile=kernel_profile,
-            errors_by_type=errors_by_type,
             resilience=self._resilience_stats(),
+            **ledger,
         )

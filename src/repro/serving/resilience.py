@@ -27,6 +27,9 @@ quarantines and graceful degradation:
   single requests: a duplicate dispatch to another replica after a
   p99-derived delay, first result wins, the loser is cancelled and never
   double-counted in router stats.
+* :class:`ResilientRequest` — the router's per-request object that runs
+  both policies: it owns the caller's future and sends its retry and hedge
+  legs through the router's single dispatch path.
 * :class:`BrownoutController` — auto-sheds LOW traffic while a sustained
   p99 / error-rate breach is read from the telemetry snapshot, and lifts
   the brownout after sustained recovery.
@@ -39,11 +42,13 @@ the brownout controller is a pure function of the telemetry tree it reads
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 import time
+from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.errors import ConfigError, TransportError, WorkerCrashed
 from repro.utils.rng import new_rng
@@ -458,6 +463,184 @@ class HedgePolicy:
         if math.isnan(p99_s):
             return min(max(self.delay_s, self.min_delay_s), self.max_delay_s)
         return min(max(p99_s * self.p99_factor, self.min_delay_s), self.max_delay_s)
+
+
+class ResilientRequest:
+    """One caller-visible request over its retried and hedged dispatch legs.
+
+    Owns the caller's :attr:`future` and sends every further leg through
+    ``dispatch(avoid=, record=) -> ([leg], key, worker_id)``, the router's
+    one dispatch primitive bound to this request and pinned to its resolved
+    version, so every leg returns the same bits.  With ``retry``, a
+    retryable primary failure is re-sent after the seeded backoff of
+    ``token``, off every replica a primary leg used, while attempts, the
+    absolute ``deadline``, the global ``budget`` and ``running()`` allow.
+    With ``hedge_delay_s``, a request no leg has won by then gets one
+    unrecorded duplicate (``record=False``) off the same replicas; a hedge
+    that cannot be dispatched is dropped.
+
+    The first leg to succeed settles :attr:`future` and cancels the other
+    legs and timers; with no leg left the caller sees the last leg's own
+    error, and a refused re-dispatch chains the failure it retried as
+    ``__cause__``.  The settle is decided once, under the request's lock:
+    two legs can succeed at the same moment.  ``tally(name)`` counts one
+    outcome under its :class:`ResilienceStats` field name.
+    """
+
+    def __init__(
+        self,
+        dispatch: Callable[..., Tuple[List[Future], str, int]],
+        tally: Callable[[str], None],
+        *,
+        running: Callable[[], bool],
+        deadline: Optional[float],
+        retry: Optional[RetryPolicy] = None,
+        budget: Optional[RetryBudget] = None,
+        token: int = 0,
+        hedge_delay_s: Optional[float] = None,
+    ) -> None:
+        #: the caller's future: resolved once, by the first leg to succeed
+        self.future: Future = Future()
+        self._dispatch = dispatch
+        self._tally = tally
+        self._running = running
+        self._deadline = deadline
+        self._retry = retry
+        self._budget = budget
+        self._token = token
+        self._hedge_delay_s = hedge_delay_s
+        self._lock = threading.Lock()
+        self._settled = False
+        self._attempt = 0  # retries launched so far
+        self._live = 1  # legs that may still deliver: the primary chain, plus a hedge
+        self._avoid: Set[int] = set()  # replicas a primary leg was sent to
+        self._legs: List[Future] = []
+        self._timers: List[threading.Timer] = []
+        self._last_exc: Optional[BaseException] = None
+
+    def start(self, leg: Future, worker_id: int) -> Future:
+        """Adopt the first dispatch and arm the hedge; returns :attr:`future`."""
+        self._adopt(leg, worker_id, hedge=False)
+        if self._hedge_delay_s is not None:
+            self._arm(self._hedge_delay_s, True)
+        return self.future
+
+    def _arm(self, delay_s: float, *launch_args) -> None:
+        """Start a daemon timer for :meth:`_launch` unless the request settled."""
+        timer = threading.Timer(delay_s, self._launch, args=launch_args)
+        timer.daemon = True
+        with self._lock:
+            if self._settled:
+                return
+            self._timers.append(timer)
+        timer.start()  # a settle in between cancelled it: it never fires
+
+    def _adopt(self, leg: Future, worker_id: int, *, hedge: bool) -> None:
+        """Follow one dispatched leg, or cancel it if another leg already won."""
+        with self._lock:
+            late = self._settled
+            if not late:
+                self._legs.append(leg)
+                if not hedge:
+                    self._avoid.add(worker_id)
+        if late:
+            leg.cancel()
+            return
+        leg.add_done_callback(functools.partial(self._leg_done, hedge))
+
+    def _leg_done(self, hedge: bool, leg: Future) -> None:
+        """A leg resolved: a success wins; a failure retries, waits or loses."""
+        if leg.cancelled():
+            return  # a loser, cancelled when another leg won
+        exc = leg.exception()
+        if exc is not None:
+            self._lose(exc, retry=not hedge)
+            return
+        with self._lock:
+            if self._settled:
+                return
+            self._settled = True
+            losers = [*self._legs, *self._timers]
+            if hedge:
+                self._tally("hedges_won")
+            elif self._attempt:
+                self._tally("retries_succeeded")
+        for loser in losers:
+            loser.cancel()  # best effort: a leg that already resolved is dropped
+        if self.future.set_running_or_notify_cancel():
+            self.future.set_result(leg.result())
+
+    def _lose(self, exc: Optional[BaseException], *, retry: bool) -> None:
+        """A leg failed, or a hedge could not go out (``exc`` None): schedule
+        a retry, wait for the other leg, or fail the request."""
+        delay = None
+        with self._lock:
+            if self._settled:
+                return
+            if exc is not None:
+                self._last_exc = exc
+            if retry:
+                delay = self._retry_delay(exc)
+            if delay is None:
+                self._live -= 1
+                if self._live > 0:
+                    return  # the other leg may still win
+                self._settled = True
+                timers = list(self._timers)
+                exc = self._last_exc
+        if delay is not None:
+            self._arm(delay, False, exc)
+            return
+        for timer in timers:
+            timer.cancel()
+        if self.future.set_running_or_notify_cancel():
+            self.future.set_exception(exc)
+
+    def _retry_delay(self, exc: BaseException) -> Optional[float]:
+        """Backoff before the next retry, or ``None`` to give up (under lock).
+
+        Gives up when there is no retry policy, the error is not
+        retryable, the pool stopped, attempts are exhausted, the backoff
+        would overrun the deadline, or the global budget denies the spend.
+        """
+        policy = self._retry
+        if policy is None or not policy.retryable(exc) or not self._running():
+            return None
+        attempt = self._attempt + 1  # 1-based index of the retry to schedule
+        if attempt >= policy.max_attempts:
+            self._tally("retries_exhausted")
+            return None
+        delay = policy.backoff_s(self._token, attempt)
+        if self._deadline is not None and time.monotonic() + delay >= self._deadline:
+            return None  # the retry could never beat the deadline
+        if not self._budget.try_spend(1):
+            self._tally("retries_budget_denied")
+            return None
+        self._attempt = attempt
+        self._tally("retries_attempted")
+        return delay
+
+    def _launch(self, hedge: bool, prior: Optional[BaseException] = None) -> None:
+        """A timer fired with no winner yet: send the unrecorded hedge leg,
+        or the next primary leg after the ``prior`` failure."""
+        with self._lock:
+            if self._settled or self.future.cancelled():
+                return
+            if hedge:
+                # claim the leg before dispatching: a primary failure arriving
+                # meanwhile must wait for it instead of failing the request
+                self._live += 1
+            avoid = frozenset(self._avoid)
+        try:
+            (leg,), _, worker_id = self._dispatch(avoid=avoid, record=not hedge)
+        except Exception as exc:  # admission, routing, a stopped pool
+            exc.__cause__ = prior
+            # a hedge is best effort: the request rides on its primary
+            self._lose(None if hedge else exc, retry=False)
+            return
+        if hedge:
+            self._tally("hedges")
+        self._adopt(leg, worker_id, hedge=hedge)
 
 
 @dataclass(frozen=True)

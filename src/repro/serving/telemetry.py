@@ -54,7 +54,6 @@ from typing import (
     List,
     Mapping,
     Optional,
-    Sequence,
     Tuple,
 )
 
@@ -649,16 +648,3 @@ def profile_kernels(profile: Optional[KernelProfile] = None) -> Iterator[KernelP
     finally:
         kernels.set_kernel_profile(previous)
 
-
-def _percentile_summary(values: Sequence[float]) -> Dict[str, float]:
-    """count/mean/p50/p99 (ms) helper shared by stats mirrors."""
-    if not values:
-        return {"count": 0, "mean_ms": 0.0, "p50_ms": 0.0, "p99_ms": 0.0}
-    arr = np.asarray(values, dtype=np.float64) * 1e3
-    p50, p99 = np.percentile(arr, [50.0, 99.0])
-    return {
-        "count": len(values),
-        "mean_ms": float(arr.mean()),
-        "p50_ms": float(p50),
-        "p99_ms": float(p99),
-    }

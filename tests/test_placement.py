@@ -228,7 +228,7 @@ class TestLatencyWindow:
     def test_router_window_size_is_configurable(self):
         router = ClusterRouter(workers=1, latency_window=4)
         assert router.latency_window == 4
-        window = router._latency_by_class[Priority.NORMAL]
+        window = router._ledger.latency_by_class[Priority.NORMAL]
         assert window.maxlen == 4
         # only the most recent `latency_window` completions survive
         for value in [1.0, 2.0, 3.0, 4.0, 5.0]:
@@ -609,7 +609,7 @@ class TestRollingDeploy:
         # the released version keeps its served count but drops its latency
         # window (no per-deploy memory growth); percentiles go nan
         assert after.latency_by_version["kws@v1"].count >= 1
-        assert "kws@v1" not in deploy_cluster._latency_by_key
+        assert "kws@v1" not in deploy_cluster._ledger.latency_by_key
 
     def test_deploy_releases_old_bytes_under_budget(self, images, requests_batch):
         size1 = PackedModel(images["v1"]).decoded_bytes()

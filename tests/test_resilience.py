@@ -11,7 +11,11 @@ clusters are shared per class where the scenario allows.
 
 from __future__ import annotations
 
+import sys
+import threading
 import time
+from collections import Counter
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -21,7 +25,13 @@ from hypothesis import strategies as st
 from repro.core.hybrid import HybridConfig, STHybridNet
 from repro.core.strassen import freeze_all
 from repro.deploy import build_image
-from repro.errors import AdmissionError, ConfigError, TransportError, WorkerCrashed
+from repro.errors import (
+    AdmissionError,
+    ConfigError,
+    RoutingError,
+    TransportError,
+    WorkerCrashed,
+)
 from repro.serving import (
     BreakerBoard,
     BreakerPolicy,
@@ -31,11 +41,14 @@ from repro.serving import (
     ClusterRouter,
     ControlLoop,
     HedgePolicy,
+    PackedModel,
     Priority,
+    PriorityPolicy,
     RestartBackoffPolicy,
     RetryBudget,
     RetryPolicy,
 )
+from repro.serving.resilience import ResilientRequest
 from repro.serving.telemetry import to_prometheus
 
 
@@ -279,6 +292,66 @@ class TestHedgePolicy:
         assert policy.effective_delay_s(10.0) == 0.1  # clamped high
 
 
+class TestResilientRequest:
+    def test_simultaneous_winners_settle_once(self):
+        """Primary and hedge legs succeeding at the same instant, eight
+        racing threads at a time on a shortened switch interval: every
+        request settles exactly once, with the winner its tally names."""
+        tallies: Counter = Counter()
+        tally_lock = threading.Lock()
+
+        def tally(name: str) -> None:
+            with tally_lock:
+                tallies[name] += 1
+
+        def build():
+            hedged = threading.Event()
+            legs = []
+
+            def dispatch(*, avoid, record):
+                assert avoid == frozenset({0}) and not record  # the hedge leg
+                legs.append(Future())
+                hedged.set()
+                return [legs[-1]], "m@v1", 1
+
+            request = ResilientRequest(
+                dispatch, tally, running=lambda: True, deadline=None, hedge_delay_s=0.0
+            )
+            primary = Future()
+            return request, primary, legs, hedged, request.start(primary, 0)
+
+        def resolve(leg: Future, value: str, barrier: threading.Barrier) -> None:
+            barrier.wait()
+            if leg.set_running_or_notify_cancel():  # as the pool's reader does
+                leg.set_result(value)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(50):
+                batch = [build() for _ in range(4)]
+                barrier = threading.Barrier(8)
+                threads = []
+                for _, primary, legs, hedged, _ in batch:
+                    assert hedged.wait(5.0)
+                    for leg, value in ((primary, "primary"), (legs[0], "hedge")):
+                        threads.append(
+                            threading.Thread(target=resolve, args=(leg, value, barrier))
+                        )
+                before = tallies["hedges_won"]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(5.0)
+                    assert not thread.is_alive()
+                winners = [future.result(timeout=5.0) for *_, future in batch]
+                assert tallies["hedges_won"] - before == winners.count("hedge")
+        finally:
+            sys.setswitchinterval(previous)
+        assert tallies["hedges"] == 200
+        assert set(tallies) <= {"hedges", "hedges_won"}
+
+
 # --------------------------------------------------------------------------- #
 # brownout controller (fake router: decisions replay from snapshots)
 # --------------------------------------------------------------------------- #
@@ -501,6 +574,103 @@ class TestClusterRetries:
         loop.step()
         status = loop.snapshot().brownout
         assert status is not None and not status.active
+
+
+# --------------------------------------------------------------------------- #
+# live cluster: every retry and hedge leg goes through the one dispatch path
+# --------------------------------------------------------------------------- #
+
+
+@pytest.fixture(scope="class")
+def hedged_cluster(images):
+    """Two workers, one replicated model, a 0.5 s hedge and no retries."""
+    router = ClusterRouter(2, hedge=HedgePolicy(delay_s=0.5, min_delay_s=0.5))
+    router.register("h", images["h"], placement="replicated")
+    with router:
+        yield router
+
+
+class TestDispatchPaths:
+    def test_fast_primary_launches_no_hedge(self, hedged_cluster, request_x):
+        router = hedged_cluster
+        router.predict(request_x, model="h")  # places "h" on both workers
+        for wid in router.placements()["h@v1"]:
+            assert router.pool.ping(wid, timeout=30) is not None  # booted, loaded
+        before = router.snapshot()
+        future = router.submit(request_x, model="h", priority=Priority.HIGH)
+        future.result(timeout=30)
+        time.sleep(0.7)  # well past the hedge delay
+        after = router.snapshot()
+        assert after.resilience.hedges == 0
+        dispatched = [
+            sum(row.dispatched for row in snap.replicas["h@v1"]) for snap in (before, after)
+        ]
+        assert dispatched[1] == dispatched[0] + 1
+        assert after.pending == 0
+
+    def test_both_legs_die(self, hedged_cluster, request_x):
+        """Primary and hedge both crash: the caller sees the crash, and only
+        the recorded primary leg counts as an error."""
+        router = hedged_cluster
+        router.predict(request_x, model="h")
+        for wid in router.placements()["h@v1"]:
+            router.pool.inject_sleep(wid, 1.0)  # outlives the hedge delay
+            router.pool.inject_crash(wid)
+        future = router.submit(request_x, model="h", priority=Priority.HIGH)
+        with pytest.raises(WorkerCrashed):
+            future.result(timeout=30)
+        snap = router.snapshot()
+        assert snap.resilience.hedges == 1
+        assert snap.resilience.hedges_won == 0
+        assert snap.pending == 0
+        assert snap.errors_by_type["WorkerCrashed"] == 1
+
+    def test_shed_hedge_leg_counts_no_shed_or_error(self, images, request_x):
+        """A hedge leg refused at admission leaves no trace in the series
+        canary rollback and brownout read: its request succeeded."""
+        router = ClusterRouter(
+            1,
+            policy=PriorityPolicy(max_pending=1),
+            hedge=HedgePolicy(delay_s=0.05, min_delay_s=0.05),
+        )
+        router.register("kws", images["m"])
+        with router:
+            router.inject_version_lag("kws", None, 0.3)  # the primary outlives the delay
+            future = router.submit(request_x, model="kws", priority=Priority.HIGH)
+            np.testing.assert_array_equal(
+                future.result(timeout=30), PackedModel(images["m"])(request_x[None])[0]
+            )
+            snap = router.snapshot()
+        assert snap.shed_by_priority[Priority.HIGH] == 0
+        assert snap.errors_by_type == {}
+        assert snap.shed_by_version == {}
+        assert snap.resilience.hedges == 0
+
+    def test_retry_firing_after_stop_leaves_no_stale_placement(self, images, request_x):
+        """A retry whose backoff outlives ``stop()`` fails, chained to the
+        crash it retried, and publishes no placement the restarted router
+        would route to a worker that never loaded it."""
+        router = ClusterRouter(
+            1, retry=RetryPolicy(base_backoff_s=3.0, max_backoff_s=3.0, jitter=0.0)
+        )
+        router.register("kws", images["m"])
+        router.start()
+        try:
+            router.pool.inject_sleep(0, 0.3)
+            router.pool.inject_crash(0)
+            future = router.submit(request_x, model="kws")
+            assert wait_until(lambda: router.snapshot().resilience.retries_attempted == 1)
+        finally:
+            router.stop()
+        with pytest.raises(RoutingError) as caught:
+            future.result(timeout=30)
+        assert isinstance(caught.value.__cause__, WorkerCrashed)
+        assert router.placements() == {}
+        with router:
+            np.testing.assert_array_equal(
+                router.predict(request_x, model="kws"),
+                PackedModel(images["m"])(request_x[None])[0],
+            )
 
 
 # --------------------------------------------------------------------------- #

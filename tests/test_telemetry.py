@@ -26,6 +26,7 @@ from repro.serving import (
     MicroBatchConfig,
     ModelRegistry,
     PackedModel,
+    Priority,
     StreamSessionManager,
 )
 from repro.serving import telemetry
@@ -71,6 +72,22 @@ def traced_cluster(image):
     router.register("kws", image)
     with router:
         yield router
+
+
+#: the ``cluster`` namespace's series: BrownoutController, CanaryController,
+#: Autoscaler and the Prometheus exporter all read them by these names
+CLUSTER_TREE_KEYS = {
+    "served", "deadline_misses", "shed", "shed_by_priority", "resident_bytes",
+    "evictions", "crashes", "pending", "queue_depth_by_priority",
+    "latency_by_priority", "workers", "replicas", "latency_by_version",
+    "current_versions", "errors_by_version", "shed_by_version", "scale_events",
+    "canary_state", "kernel_profile", "errors_by_type", "resilience",
+}
+RESILIENCE_TREE_KEYS = {
+    "retries_attempted", "retries_succeeded", "retries_exhausted",
+    "retries_budget_denied", "hedges", "hedges_won", "brownout_active",
+    "brownout_sheds", "retry_budget", "breakers", "restart_backoffs",
+}
 
 
 def echo_model(batch: np.ndarray) -> np.ndarray:
@@ -393,3 +410,22 @@ class TestClusterTelemetry:
             load = loop.autoscaler._load_of(key, tree, workers)
             assert load >= 0.0
         assert loop.step() == []  # idle cluster: no scaling events
+
+    def test_cluster_tree_shape_idle_and_after_traffic(self, traced_cluster, rng):
+        """The ``cluster`` tree keeps every series, and every priority class
+        under the per-class ones, before any traffic and after it."""
+        idle = ClusterRouter(workers=1).snapshot().as_tree()  # never started
+        traced_cluster.predict(
+            rng.standard_normal((49, 10)).astype(np.float32), model="kws"
+        )
+        busy = traced_cluster.snapshot().as_tree()
+        classes = {p.name for p in Priority}
+        for tree in (idle, busy):
+            assert set(tree) == CLUSTER_TREE_KEYS
+            for series in ("shed_by_priority", "queue_depth_by_priority", "latency_by_priority"):
+                assert set(tree[series]) == classes
+            assert set(tree["resilience"]) == RESILIENCE_TREE_KEYS
+        assert set(idle["shed_by_priority"].values()) == {0}
+        assert set(idle["queue_depth_by_priority"].values()) == {0}
+        assert {row["count"] for row in idle["latency_by_priority"].values()} == {0}
+        assert busy["latency_by_priority"]["NORMAL"]["count"] >= 1
