@@ -16,6 +16,10 @@ Not a paper table — this guards the sessionful streaming layer
   :class:`~repro.evaluation.streaming.StreamingDetector` run over the
   same waveform.
 
+It also reports, without a floor, how many MFCC frames per window the
+sessions' featurizers computed and reused, and the peak power-row state
+the 256 sessions hold when all of them are live at once.
+
 Runs standalone (``python benchmarks/bench_streams.py [--quick]``) and as
 pytest assertions guarding the floors in CI.  Emits ``BENCH_streams.json``.
 """
@@ -107,9 +111,13 @@ def measure_sessions(image: ModelImage, num_sessions: int, pool_size: int = 6) -
     assert report.windows_failed == 0 and report.gaps == 0, "windows were lost"
     assert report.stats.sessions_done == num_sessions, "a session never drained"
     identity_checked = check_identity(image, arrivals, manager)
+    windows = report.stats.windows_featurized
     return {
         "sessions": num_sessions,
         "windows": report.windows_served,
+        "frames_computed_per_window": report.stats.frames_computed / windows,
+        "frames_reused_per_window": report.stats.frames_reused / windows,
+        "peak_feature_state_bytes": peak_feature_state(arrivals, manager.config),
         "wall_s": report.wall_s,
         "sessions_per_s": report.sessions_per_s,
         "windows_per_s": report.windows_per_s,
@@ -117,6 +125,28 @@ def measure_sessions(image: ModelImage, num_sessions: int, pool_size: int = 6) -
         "p99_window_to_decision_ms": report.p99_ms,
         "identity_streams_checked": identity_checked,
     }
+
+
+def peak_feature_state(arrivals, config: StreamingConfig) -> int:
+    """Peak bytes of power rows the sessions' featurizers hold together
+    when every arrival's session is live and fed hop by hop in lockstep.
+
+    The replay opens each session on its whole waveform and closes it at
+    once, so its own state never outlives one ``open``; this pass keeps
+    them all open, as live microphones are.
+    """
+    sessions = [StreamSession(f"state-{a.index}", config, None, None) for a in arrivals]
+    hop = config.hop_samples
+    peak = 0
+    for lo in range(0, max(len(a.waveform) for a in arrivals), hop):
+        for session, arrival in zip(sessions, arrivals):
+            session.feed(arrival.waveform[lo : lo + hop])
+            session.ready.clear()
+        peak = max(peak, sum(session.featurizer.state_bytes for session in sessions))
+    for session in sessions:
+        session.close()
+    assert sum(session.featurizer.state_bytes for session in sessions) == 0
+    return peak
 
 
 def _cut_windows(arrivals, config: StreamingConfig) -> List[List[np.ndarray]]:
@@ -263,7 +293,11 @@ def main() -> None:
         f"{scale['windows_per_s']:.0f} windows/s)\n"
         f"       p50 {scale['p50_window_to_decision_ms']:.2f} ms  "
         f"p99 {scale['p99_window_to_decision_ms']:.2f} ms window-to-decision; "
-        f"{scale['identity_streams_checked']} stream(s) bitwise-identical to solo detector"
+        f"{scale['identity_streams_checked']} stream(s) bitwise-identical to solo detector\n"
+        f"       MFCC frames per window: {scale['frames_computed_per_window']:.1f} computed, "
+        f"{scale['frames_reused_per_window']:.1f} reused; peak feature state "
+        f"{scale['peak_feature_state_bytes'] / 1e6:.1f} MB with all "
+        f"{scale['sessions']} sessions live"
     )
 
     payload = {

@@ -8,14 +8,16 @@ a 49x10 time-frequency "image".
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import List, Optional
 
 import numpy as np
 
 from repro.audio.dct import dct_matrix
 from repro.audio.mel import mel_filterbank
-from repro.audio.signal import frame_signal, hamming_window, preemphasis
-from repro.errors import ConfigError
+from repro.audio.signal import hamming_window, preemphasis
+from repro.errors import ConfigError, ShapeError
 
 
 @dataclass(frozen=True)
@@ -68,7 +70,12 @@ class MFCCConfig:
 
 
 class MFCC:
-    """Stateful MFCC extractor (precomputes window / filterbank / DCT).
+    """Stateless MFCC extractor (precomputes window / filterbank / DCT).
+
+    A call runs two stages that :class:`StreamFeaturizer` shares: *frame
+    power* (pre-emphasis, Hamming window, ``rfft``, ``|X|² / N`` per frame)
+    and *cepstra* (mel filterbank, log, DCT).  The instance keeps no
+    scratch between calls, so one extractor may serve several threads.
 
     >>> extractor = MFCC()
     >>> features = extractor(np.zeros(16000))
@@ -84,10 +91,16 @@ class MFCC:
                 f"num_coefficients {cfg.num_coefficients} exceeds "
                 f"num_mel_filters {cfg.num_mel_filters}"
             )
-        self._window = hamming_window(cfg.frame_length)
-        self._filterbank = mel_filterbank(
-            cfg.num_mel_filters, cfg.effective_fft_length, cfg.sample_rate
-        )
+        # the config's derived sizes, read on every call
+        self._frame_length = cfg.frame_length
+        self._frame_step = cfg.frame_step
+        self._fft_length = cfg.effective_fft_length
+        self._bins = self._fft_length // 2 + 1
+        # samples of each frame the FFT reads: rfft pads short frames with
+        # zeros and truncates frames longer than fft_length
+        self._fft_span = min(self._frame_length, self._fft_length)
+        self._window = hamming_window(self._frame_length)[: self._fft_span]
+        self._filterbank = mel_filterbank(cfg.num_mel_filters, self._fft_length, cfg.sample_rate)
         self._dct = dct_matrix(cfg.num_coefficients, cfg.num_mel_filters)
 
     @property
@@ -98,19 +111,148 @@ class MFCC:
 
     def __call__(self, waveform: np.ndarray) -> np.ndarray:
         """Extract MFCCs: returns (num_frames, num_coefficients) float32."""
-        cfg = self.config
+        signal = self._signal(waveform)
+        power = np.empty((self.config.num_frames(len(signal)), self._bins))
+        self.frame_power(signal, 0, power)
+        return self.cepstra(power)
+
+    def _signal(self, waveform: np.ndarray) -> np.ndarray:
+        """``waveform`` as a 1-D float64 array of at least one frame."""
         signal = np.asarray(waveform, dtype=np.float64)
-        if cfg.preemphasis_coefficient > 0:
-            signal = preemphasis(signal, cfg.preemphasis_coefficient)
-        frames = frame_signal(signal, cfg.frame_length, cfg.frame_step)
-        frames = frames * self._window
-        spectrum = np.fft.rfft(frames, n=cfg.effective_fft_length, axis=1)
-        power = (spectrum.real**2 + spectrum.imag**2) / cfg.effective_fft_length
-        mel_energies = power @ self._filterbank.T
-        log_mel = np.log(np.maximum(mel_energies, cfg.log_floor))
-        coefficients = log_mel @ self._dct.T
-        return coefficients.astype(np.float32)
+        if signal.ndim != 1:
+            raise ShapeError(f"MFCC expects a 1-D signal, got {signal.shape}")
+        if len(signal) < self._frame_length:
+            raise ShapeError(
+                f"signal of length {len(signal)} shorter than frame {self._frame_length}"
+            )
+        return signal
+
+    def frame_power(self, signal: np.ndarray, first: int, out: np.ndarray) -> None:
+        """Power spectra of frames ``first .. first + len(out) - 1`` into ``out``.
+
+        ``signal`` is the whole float64 clip: its first sample keeps its raw
+        value under pre-emphasis, so frame 0 of a clip differs from the same
+        samples framed anywhere else.  Each row depends on its own frame
+        only (``rfft`` transforms rows independently), so computing any run
+        of frames gives the bytes a whole-clip call gives those rows.
+        """
+        step, span = self._frame_step, self._fft_span
+        lo = first * step
+        hi = lo + (len(out) - 1) * step + span
+        coefficient = self.config.preemphasis_coefficient
+        if coefficient > 0:
+            # y[t] = x[t] - c*x[t-1]; preemphasis() keeps y[0] = x[0], which
+            # only the clip's own first sample gets
+            if lo:
+                segment = preemphasis(signal[lo - 1 : hi], coefficient)[1:]
+            else:
+                segment = preemphasis(signal[:hi], coefficient)
+        else:
+            segment = signal[lo:hi]
+        frames = np.lib.stride_tricks.as_strided(
+            segment,
+            shape=(len(out), span),
+            strides=(step * segment.strides[0], segment.strides[0]),
+            writeable=False,
+        )
+        padded = np.empty((len(out), self._fft_length))
+        padded[:, span:] = 0.0
+        np.multiply(frames, self._window, out=padded[:, :span])
+        spectrum = np.fft.rfft(padded, axis=1)
+        parts = spectrum.view(np.float64)  # re, im interleaved per bin
+        np.multiply(parts, parts, out=parts)
+        np.add(parts[:, 0::2], parts[:, 1::2], out=out)
+        np.divide(out, self._fft_length, out=out)
+
+    def cepstra(self, power: np.ndarray) -> np.ndarray:
+        """(frames, bins) power spectra -> (frames, coefficients) float32 MFCCs.
+
+        The mel product runs on the whole clip's power matrix: BLAS may
+        sum a row differently at another row count, so rows of a partial
+        product are not the bytes of the whole one.
+        """
+        mel = power @ self._filterbank.T
+        np.maximum(mel, self.config.log_floor, out=mel)
+        np.log(mel, out=mel)
+        return (mel @ self._dct.T).astype(np.float32)
 
     def batch(self, waveforms: np.ndarray) -> np.ndarray:
         """Extract MFCCs for a (N, num_samples) batch → (N, frames, coeffs)."""
         return np.stack([self(w) for w in np.asarray(waveforms)])
+
+    def stream(self, window_samples: int, hop_samples: int) -> "StreamFeaturizer":
+        """A featurizer for one stream's consecutive hop-spaced windows."""
+        return StreamFeaturizer(self, window_samples, hop_samples)
+
+
+class StreamFeaturizer:
+    """MFCCs of one stream's windows, each frame's power spectrum computed once.
+
+    Window ``k`` starts ``k * hop`` samples into the stream.  It shares its
+    frame grid with window ``k - m``, where ``m = lcm(hop, stride) / hop``:
+    its frame ``j`` is that window's frame ``j + q``, ``q = lcm / stride``.
+    Frame 0 is always computed, because the window-local pre-emphasis keeps
+    its first sample raw, and so are the ``q`` frames past the shared run;
+    frames ``1 .. frames - 1 - q`` are the power rows window ``k - m``
+    kept.  Every window's whole power matrix then goes through
+    :meth:`MFCC.cepstra`, so its features are the bytes of
+    ``MFCC(config)(window)``.  With ``q >= frames - 1`` no frame is shared
+    and every frame is computed.
+
+    The kept rows are ``m`` float64 tails of ``frames - 1 - q`` rows each
+    (:attr:`state_bytes`), dropped by :meth:`close`.  Calls must come in
+    window order, one per window.
+    """
+
+    def __init__(self, extractor: MFCC, window_samples: int, hop_samples: int) -> None:
+        if window_samples < 1 or hop_samples < 1:
+            raise ConfigError("window_samples and hop_samples must be positive")
+        self.extractor = extractor
+        self.window_samples = window_samples
+        step = extractor._frame_step
+        lcm = math.lcm(hop_samples, step)
+        self._frames = extractor.config.num_frames(window_samples)
+        self._shared = max(0, self._frames - 1 - lcm // step)  # rows reused per window
+        # one tail per residue class of the window index modulo m
+        period = lcm // hop_samples if self._shared else 0
+        self._tails: List[Optional[np.ndarray]] = [None] * period
+        self._index = 0  # windows featurized so far
+        self.frames_computed = 0
+        self.frames_reused = 0
+
+    @property
+    def state_bytes(self) -> int:
+        """Bytes of power rows held for later windows."""
+        return sum(tail.nbytes for tail in self._tails if tail is not None)
+
+    def __call__(self, window: np.ndarray) -> np.ndarray:
+        """MFCCs of the stream's next window: ``MFCC(config)(window)``'s bytes."""
+        extractor = self.extractor
+        signal = extractor._signal(window)
+        if len(signal) != self.window_samples:
+            raise ShapeError(f"window of {len(signal)} samples, expected {self.window_samples}")
+        frames, shared = self._frames, self._shared
+        power = np.empty((frames, extractor._bins))
+        tail = None
+        if shared:
+            slot = self._index % len(self._tails)
+            tail = self._tails[slot]
+        if tail is None:
+            extractor.frame_power(signal, 0, power)
+            self.frames_computed += frames
+        else:
+            extractor.frame_power(signal, 0, power[:1])
+            power[1 : 1 + shared] = tail
+            extractor.frame_power(signal, 1 + shared, power[1 + shared :])
+            self.frames_computed += frames - shared
+            self.frames_reused += shared
+        if shared:
+            if tail is None:
+                tail = self._tails[slot] = np.empty((shared, extractor._bins))
+            tail[...] = power[frames - shared :]
+        self._index += 1
+        return extractor.cepstra(power)
+
+    def close(self) -> None:
+        """Drop the kept power rows."""
+        self._tails = [None] * len(self._tails)

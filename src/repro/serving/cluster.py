@@ -85,6 +85,7 @@ import multiprocessing
 import os
 import threading
 import time
+import weakref
 from collections import Counter, deque
 from concurrent.futures import Future
 from dataclasses import dataclass, field
@@ -1674,6 +1675,9 @@ class ClusterRouter:
         self.retry_policy = retry
         self._retry_budget = retry.make_budget() if retry is not None else None
         self._retry_tokens = itertools.count()
+        #: retried or hedged requests, held weakly; stop() settles the
+        #: ones still waiting on a timer
+        self._resilient: "weakref.WeakSet[ResilientRequest]" = weakref.WeakSet()
         if breakers is True:
             breakers = BreakerPolicy()
         self.breakers = BreakerBoard(breakers) if isinstance(breakers, BreakerPolicy) else None
@@ -2326,7 +2330,7 @@ class ClusterRouter:
         # bitwise identical to the first attempt even across a concurrent
         # activate/canary flip, so it targets the resolved key, not `model`
         name, pinned = split_key(key)
-        return [
+        requests = [
             ResilientRequest(
                 functools.partial(
                     self._submit_once, [x], model=name, version=pinned,
@@ -2336,9 +2340,12 @@ class ClusterRouter:
                 retry=retry, budget=self._retry_budget,
                 token=next(self._retry_tokens) if retry is not None else 0,
                 hedge_delay_s=hedge_delay_s,
-            ).start(future, worker_id)
-            for future, x in zip(futures, xs)
+            )
+            for x in xs
         ]
+        with self._lock:
+            self._resilient.update(requests)
+        return [request.start(future, worker_id) for request, future in zip(requests, futures)]
 
     def _submit_once(
         self,
@@ -2540,11 +2547,21 @@ class ClusterRouter:
         return self
 
     def stop(self) -> None:
-        """Stop the pool; placements reset (a restart re-places lazily)."""
+        """Stop the pool; placements reset (a restart re-places lazily).
+
+        The pool serves its in-flight legs first.  A retried or hedged
+        request still unsettled then (its retry timer armed) fails with
+        :class:`~repro.errors.RoutingError`, and its timers are cancelled
+        and joined: nothing dispatches after ``stop()`` returns.
+        """
         self.pool.stop()
         with self._lock:
             self._placements.clear()
             self._protected.clear()
+            pending = list(self._resilient)
+            self._resilient.clear()
+        for request in pending:
+            request.abort(RoutingError("cluster stopped before the request settled"))
 
     def __enter__(self) -> "ClusterRouter":
         """Start the cluster for the duration of a ``with`` block."""

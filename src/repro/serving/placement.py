@@ -53,7 +53,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import AbstractSet, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import AbstractSet, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigError, DeployError
 
@@ -377,17 +377,6 @@ class PlacementTable:
     def pop(self, key: str) -> Optional[ReplicaSet]:
         """Remove and return ``key``'s replica set (``None`` when unplaced)."""
         return self._sets.pop(key, None)
-
-    def pop_lru(self, exclude: Set[str] = frozenset()) -> Optional[ReplicaSet]:
-        """Remove and return the least-recently-used evictable replica set.
-
-        Keys in ``exclude`` (e.g. both sides of an in-progress deploy) are
-        skipped; returns ``None`` when nothing is evictable.
-        """
-        for key in self._sets:
-            if key not in exclude:
-                return self._sets.pop(key)
-        return None
 
     def clear(self) -> None:
         """Drop every placement (cluster stopped; restart re-places lazily)."""

@@ -50,7 +50,7 @@ from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from repro.errors import ConfigError, TransportError, WorkerCrashed
+from repro.errors import ConfigError, RoutingError, TransportError, WorkerCrashed
 from repro.utils.rng import new_rng
 
 __all__ = [
@@ -465,6 +465,12 @@ class HedgePolicy:
         return min(max(p99_s * self.p99_factor, self.min_delay_s), self.max_delay_s)
 
 
+#: how long :meth:`ResilientRequest.abort` waits for a cancelled timer's
+#: thread; a cancelled timer exits at once unless its launch is already
+#: running the caller's done-callbacks
+_TIMER_JOIN_S = 5.0
+
+
 class ResilientRequest:
     """One caller-visible request over its retried and hedged dispatch legs.
 
@@ -484,7 +490,9 @@ class ResilientRequest:
     error, and a refused re-dispatch chains the failure it retried as
     ``__cause__``.  The settle is decided once, under the request's lock:
     two legs can succeed at the same moment.  ``tally(name)`` counts one
-    outcome under its :class:`ResilienceStats` field name.
+    outcome under its :class:`ResilienceStats` field name.  A timer that
+    fires once ``running()`` is false dispatches nothing, and
+    :meth:`abort` settles a request its owner is shutting down.
     """
 
     def __init__(
@@ -570,6 +578,28 @@ class ResilientRequest:
         if self.future.set_running_or_notify_cancel():
             self.future.set_result(leg.result())
 
+    def abort(self, exc: BaseException) -> None:
+        """Fail the request with ``exc`` unless a leg already settled it,
+        and stop its timers; returns once their threads have exited.
+
+        The last leg failure, the one a pending retry was answering,
+        becomes ``exc.__cause__``.
+        """
+        with self._lock:
+            settle = not self._settled
+            self._settled = True
+            timers = list(self._timers)
+            if settle:
+                exc.__cause__ = self._last_exc
+        for timer in timers:
+            timer.cancel()
+        current = threading.current_thread()
+        for timer in timers:
+            if timer is not current:
+                timer.join(_TIMER_JOIN_S)
+        if settle and self.future.set_running_or_notify_cancel():
+            self.future.set_exception(exc)
+
     def _lose(self, exc: Optional[BaseException], *, retry: bool) -> None:
         """A leg failed, or a hedge could not go out (``exc`` None): schedule
         a retry, wait for the other leg, or fail the request."""
@@ -632,6 +662,8 @@ class ResilientRequest:
                 self._live += 1
             avoid = frozenset(self._avoid)
         try:
+            if not self._running():
+                raise RoutingError("cluster stopped before the leg could be dispatched")
             (leg,), _, worker_id = self._dispatch(avoid=avoid, record=not hedge)
         except Exception as exc:  # admission, routing, a stopped pool
             exc.__cause__ = prior

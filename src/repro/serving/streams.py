@@ -8,7 +8,8 @@ that layer on top of the existing data path:
 * :class:`StreamSession` — one live stream: incremental windowing (same
   ``hop_ms``/``window_seconds`` arithmetic as
   :class:`~repro.evaluation.streaming.StreamingDetector`), a private
-  :class:`~repro.audio.mfcc.MFCC` extractor, a private
+  :class:`~repro.audio.mfcc.StreamFeaturizer` that computes each MFCC
+  frame's power spectrum once per stream, a private
   :class:`~repro.evaluation.streaming.PosteriorSmoother`, and per-session
   metrics (windows served, failures, deadline misses, the gap indices a
   worker crash left behind);
@@ -21,11 +22,11 @@ that layer on top of the existing data path:
   :class:`~repro.serving.frontend.AsyncServingFrontend` can stand in for
   the cluster in single-process settings.
 
-Because windows are featurized with the same MFCC configuration, executed
-through a batch-composition-invariant runtime, and smoothed by the same
-:class:`PosteriorSmoother` code path, a session's posteriors are **bitwise
-identical** to a solo ``StreamingDetector`` run over the same waveform —
-``benchmarks/bench_streams.py`` gates exactly that.
+Because each window's features are the bytes ``MFCC(config)(window)``
+gives, executed through a batch-composition-invariant runtime, and smoothed
+by the same :class:`PosteriorSmoother` code path, a session's posteriors are
+**bitwise identical** to a solo ``StreamingDetector`` run over the same
+waveform — ``benchmarks/bench_streams.py`` gates exactly that.
 """
 
 from __future__ import annotations
@@ -105,7 +106,8 @@ class StreamSession:
         self.config = config
         self.closed = False
         self.stats = SessionStats()
-        self._extractor = MFCC(config.mfcc)
+        #: featurizes this stream's windows, reusing shared frames' power rows
+        self.featurizer = MFCC(config.mfcc).stream(config.window_samples, config.hop_samples)
         self._smoother = PosteriorSmoother(config.smoothing_windows, total_windows=total_windows)
         self._feature_mean = feature_mean
         self._feature_std = feature_std
@@ -149,15 +151,17 @@ class StreamSession:
             if end > self._buffer_start + len(self._buffer):
                 break
             frame = self._buffer[start - self._buffer_start : end - self._buffer_start]
-            features = self._extractor(frame)
+            features = self.featurizer(frame)
             if self._feature_mean is not None:
                 features = (features - self._feature_mean) / self._feature_std
             self.ready.append((self._emitted, features.astype(np.float32), time.monotonic()))
             self._emitted += 1
             self.stats.windows_featurized += 1
             cut += 1
-            # drop samples no later window can reach
-            drop = self._emitted * hop - self._buffer_start
+            # drop samples no later window can reach; a hop longer than the
+            # window can reach past the buffer, whose start then stays the
+            # next sample to arrive
+            drop = min(self._emitted * hop - self._buffer_start, len(self._buffer))
             if drop > 0:
                 self._buffer = self._buffer[drop:]
                 self._buffer_start += drop
@@ -187,9 +191,11 @@ class StreamSession:
         return count
 
     def close(self) -> None:
-        """End of stream: the sub-window tail is discarded (as in batch)."""
+        """End of stream: the sub-window tail and the featurizer's kept
+        power rows are discarded (as in batch)."""
         self.closed = True
         self._buffer = np.empty(0, dtype=np.float64)
+        self.featurizer.close()
 
     @property
     def done(self) -> bool:
@@ -227,11 +233,20 @@ class StreamSession:
 
 @dataclass
 class ManagerStats:
-    """Aggregate counters across every session the manager has opened."""
+    """Aggregate counters across every session the manager has opened.
+
+    ``frames_computed`` and ``frames_reused`` count MFCC frames whose power
+    spectrum a featurizer computed or took from an earlier window;
+    ``feature_state_bytes`` is the power rows open sessions hold for their
+    next windows (0 once every session is closed).
+    """
 
     sessions: int = 0
     sessions_done: int = 0
     windows_featurized: int = 0
+    frames_computed: int = 0
+    frames_reused: int = 0
+    feature_state_bytes: int = 0
     windows_submitted: int = 0
     windows_served: int = 0
     windows_failed: int = 0
@@ -312,6 +327,9 @@ class StreamSessionManager:
             "sessions": stats.sessions,
             "sessions_done": stats.sessions_done,
             "windows_featurized": stats.windows_featurized,
+            "frames_computed": stats.frames_computed,
+            "frames_reused": stats.frames_reused,
+            "feature_state_bytes": stats.feature_state_bytes,
             "windows_submitted": stats.windows_submitted,
             "windows_served": stats.windows_served,
             "windows_failed": stats.windows_failed,
@@ -495,6 +513,9 @@ class StreamSessionManager:
         for session in self._sessions.values():
             stats.sessions_done += session.done
             stats.windows_featurized += session.stats.windows_featurized
+            stats.frames_computed += session.featurizer.frames_computed
+            stats.frames_reused += session.featurizer.frames_reused
+            stats.feature_state_bytes += session.featurizer.state_bytes
             stats.windows_served += session.stats.windows_served
             stats.windows_failed += session.stats.windows_failed
             stats.deadline_misses += session.stats.deadline_misses

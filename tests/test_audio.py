@@ -21,6 +21,28 @@ from repro.audio import (
     rms_normalize,
 )
 from repro.errors import ConfigError, ShapeError
+from repro.evaluation import StreamingConfig, num_windows
+from repro.serving.streams import StreamSession
+
+
+def frozen_mfcc(config: MFCCConfig, waveform: np.ndarray) -> np.ndarray:
+    """The one-pass MFCC the two-stage extractor and the stream featurizer
+    must reproduce byte for byte: every frame framed, windowed and
+    transformed at once, the FFT padding or truncating via ``n=``."""
+    window = np.hamming(config.frame_length)
+    filterbank = mel_filterbank(
+        config.num_mel_filters, config.effective_fft_length, config.sample_rate
+    )
+    dct = dct_matrix(config.num_coefficients, config.num_mel_filters)
+    signal = np.asarray(waveform, dtype=np.float64)
+    if config.preemphasis_coefficient > 0:
+        signal = preemphasis(signal, config.preemphasis_coefficient)
+    frames = frame_signal(signal, config.frame_length, config.frame_step) * window
+    spectrum = np.fft.rfft(frames, n=config.effective_fft_length, axis=1)
+    power = (spectrum.real**2 + spectrum.imag**2) / config.effective_fft_length
+    mel = power @ filterbank.T
+    log_mel = np.log(np.maximum(mel, config.log_floor))
+    return (log_mel @ dct.T).astype(np.float32)
 
 
 class TestSignal:
@@ -114,6 +136,95 @@ class TestMFCC:
         assert cfg.frame_step == 320
         assert cfg.effective_fft_length == 1024
         assert cfg.num_frames(16000) == 49
+
+
+@st.composite
+def stream_cases(draw):
+    """A frame geometry, a window/hop pair of one grid-sharing kind, a
+    waveform several windows long and a random chunking of it."""
+    stride = draw(st.sampled_from([40, 64, 80, 100, 160]))
+    frame = draw(st.integers(min_value=stride, max_value=3 * stride))
+    truncate = draw(st.booleans())  # fft_length below the frame: rfft truncates
+    fft_length = draw(st.integers(min_value=16, max_value=frame - 1)) if truncate else 0
+    coefficient = draw(st.sampled_from([0.97, 0.0]))
+    frames = draw(st.integers(min_value=2, max_value=30))
+    window = (frames - 1) * stride + frame + draw(st.integers(min_value=0, max_value=stride - 1))
+    kind = draw(st.sampled_from(["stride-multiple", "half-stride", "no-shared-grid", "longer"]))
+    if kind == "stride-multiple":  # m = 1
+        hop = stride * draw(st.integers(min_value=1, max_value=frames))
+    elif kind == "half-stride":  # m = 2, as the default 4000-sample hop at stride 320
+        hop = stride * draw(st.integers(min_value=0, max_value=frames)) + stride // 2
+    elif kind == "no-shared-grid":  # lcm(hop, stride) = hop * stride: q >= frames - 1
+        hop = stride * draw(st.integers(min_value=1, max_value=frames)) + 1
+    else:
+        hop = window + draw(st.integers(min_value=1, max_value=2 * stride))
+    count = draw(st.integers(min_value=1, max_value=8))
+    length = window + (count - 1) * hop + draw(st.integers(min_value=0, max_value=hop - 1))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    waveform = rng.standard_normal(length) * 0.1
+    zeros = rng.random(length) < draw(st.sampled_from([0.0, 0.3]))
+    waveform[zeros] = np.copysign(0.0, rng.standard_normal(int(zeros.sum())))  # ±0.0
+    cuts = draw(st.lists(st.integers(min_value=0, max_value=length), max_size=12))
+    if draw(st.booleans()):  # chunks that end exactly where a window ends
+        cuts += [k * hop + window for k in range(count)]
+    config = MFCCConfig(
+        sample_rate=16_000,
+        frame_ms=frame / 16.0,
+        stride_ms=stride / 16.0,
+        fft_length=fft_length,
+        preemphasis_coefficient=coefficient,
+    )
+    return config, window, hop, waveform, sorted(set(cuts))
+
+
+class TestStreamFeaturizer:
+    @settings(max_examples=60, deadline=None)
+    @given(case=stream_cases())
+    def test_session_windows_match_frozen_mfcc(self, case):
+        """Every window a session featurizes, however its audio was chunked,
+        has the bytes of the one-pass MFCC, and so has ``MFCC()(window)``."""
+        config, window, hop, waveform, cuts = case
+        streaming = StreamingConfig(
+            hop_ms=hop / 16.0, window_seconds=window / 16_000, mfcc=config
+        )
+        assert (streaming.window_samples, streaming.hop_samples) == (window, hop)
+        session = StreamSession("p", streaming, None, None)
+        for lo, hi in zip([0, *cuts], [*cuts, len(waveform)]):
+            session.feed(waveform[lo:hi])
+        extractor = MFCC(config)
+        assert len(session.ready) == num_windows(streaming, len(waveform))
+        for index, features, _ in session.ready:
+            clip = waveform[index * hop : index * hop + window]
+            expected = frozen_mfcc(config, clip)
+            assert features.dtype == np.float32 and features.shape == expected.shape
+            assert features.tobytes() == expected.tobytes()
+            assert extractor(clip).tobytes() == expected.tobytes()
+        featurizer = session.featurizer
+        windows = len(session.ready)
+        frames = config.num_frames(window)
+        assert featurizer.frames_computed + featurizer.frames_reused == windows * frames
+        session.close()
+        assert featurizer.state_bytes == 0
+
+    def test_rows_of_partial_power_match_the_whole(self):
+        """A 1-row and a 25-row frame-power call give the bytes of those
+        rows of the 49-row call (rfft transforms rows independently)."""
+        extractor = MFCC()
+        signal = np.random.default_rng(1).standard_normal(16_000)
+        whole = np.empty((49, 513))
+        extractor.frame_power(signal, 0, whole)
+        first, last = np.empty((1, 513)), np.empty((25, 513))
+        extractor.frame_power(signal, 0, first)
+        extractor.frame_power(signal, 24, last)
+        assert first.tobytes() == whole[:1].tobytes()
+        assert last.tobytes() == whole[24:].tobytes()
+
+    def test_window_length_is_checked(self):
+        featurizer = MFCC().stream(16_000, 4_000)
+        with pytest.raises(ShapeError):
+            featurizer(np.zeros(15_999))
+        with pytest.raises(ConfigError):
+            MFCC().stream(16_000, 0)
 
 
 class TestAugment:

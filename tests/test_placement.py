@@ -168,17 +168,8 @@ class TestPlacementTable:
         for key in ("a@v1", "b@v1", "c@v1"):
             table.insert(ReplicaSet(key, [0], StickyPolicy()))
         table.touch("a@v1")  # b is now LRU
-        evicted = table.pop_lru()
-        assert evicted.key == "b@v1"
-
-    def test_pop_lru_respects_exclusions(self):
-        table = PlacementTable()
-        for key in ("a@v1", "b@v1"):
-            table.insert(ReplicaSet(key, [0], StickyPolicy()))
-        evicted = table.pop_lru(exclude={"a@v1"})
-        assert evicted.key == "b@v1"
-        assert table.pop_lru(exclude={"a@v1"}) is None  # only protected keys left
-        assert "a@v1" in table
+        assert [key for key, _ in table.items()] == ["b@v1", "c@v1", "a@v1"]
+        assert list(table) == ["b@v1", "c@v1", "a@v1"]
 
     def test_resident_bytes_scales_with_replicas(self):
         table = PlacementTable()

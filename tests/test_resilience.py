@@ -11,6 +11,7 @@ clusters are shared per class where the scenario allows.
 
 from __future__ import annotations
 
+import functools
 import sys
 import threading
 import time
@@ -351,6 +352,106 @@ class TestResilientRequest:
         assert tallies["hedges"] == 200
         assert set(tallies) <= {"hedges", "hedges_won"}
 
+    def test_timer_after_stop_dispatches_nothing(self):
+        """A retry timer firing once ``running()`` is false fails the request
+        with RoutingError, chained to the failure it retried, and sends no
+        leg; a hedge timer then is dropped and the primary still wins."""
+        running = [True]
+        dispatched = []
+
+        def dispatch(*, avoid, record):
+            dispatched.append(record)
+            raise AssertionError("no leg may be dispatched after stop")
+
+        retried = ResilientRequest(
+            dispatch, lambda name: None, running=lambda: running[0], deadline=None,
+            retry=RetryPolicy(base_backoff_s=0.05, max_backoff_s=0.05, jitter=0.0),
+            budget=RetryBudget(),
+        )
+        primary = Future()
+        future = retried.start(primary, 0)
+        primary.set_exception(WorkerCrashed("worker 0 died"))  # arms the retry
+        running[0] = False
+        with pytest.raises(RoutingError) as caught:
+            future.result(timeout=5.0)
+        assert isinstance(caught.value.__cause__, WorkerCrashed)
+
+        hedged = ResilientRequest(
+            dispatch, lambda name: None, running=lambda: running[0], deadline=None,
+            hedge_delay_s=0.0,
+        )
+        primary = Future()
+        future = hedged.start(primary, 0)
+        time.sleep(0.1)  # the hedge timer fires and finds the pool stopped
+        primary.set_result("primary")
+        assert future.result(timeout=5.0) == "primary"
+        assert dispatched == []
+
+    def test_abort_racing_a_winning_leg_settles_once(self):
+        """``abort`` (a stopping router) and a primary leg succeeding at the
+        same instant, eight racing threads at a time on a shortened switch
+        interval: each request settles exactly once, with one of the two."""
+        errors = []
+
+        def race(action) -> None:
+            barrier.wait()
+            try:
+                action()
+            except BaseException as exc:  # surfaced below, not swallowed
+                errors.append(exc)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        outcomes = Counter()
+        try:
+            for _ in range(50):
+                batch = []
+                for _ in range(4):
+                    request = ResilientRequest(
+                        lambda **_: ([Future()], "m@v1", 1), lambda name: None,
+                        running=lambda: True, deadline=None,
+                    )
+                    primary = Future()
+                    batch.append((request, primary, request.start(primary, 0)))
+                barrier = threading.Barrier(8)
+                threads = []
+                for request, primary, _ in batch:
+                    resolve = functools.partial(
+                        lambda leg: leg.set_running_or_notify_cancel() and leg.set_result("ok"),
+                        primary,
+                    )
+                    abort = functools.partial(request.abort, RoutingError("stopped"))
+                    threads += [threading.Thread(target=race, args=(f,)) for f in (resolve, abort)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(5.0)
+                    assert not thread.is_alive()
+                for _, _, future in batch:
+                    assert future.done()
+                    exc = future.exception(timeout=0)
+                    assert exc is None or isinstance(exc, RoutingError)
+                    outcomes["aborted" if exc else "served"] += 1
+        finally:
+            sys.setswitchinterval(previous)
+        assert errors == []
+        assert sum(outcomes.values()) == 200
+
+    def test_abort_settles_once_and_joins_timers(self):
+        request = ResilientRequest(
+            lambda **_: ([Future()], "m@v1", 1), lambda name: None,
+            running=lambda: True, deadline=None, hedge_delay_s=60.0,
+        )
+        primary = Future()
+        future = request.start(primary, 0)
+        (timer,) = request._timers
+        request.abort(RoutingError("stopped"))
+        assert not timer.is_alive()
+        with pytest.raises(RoutingError):
+            future.result(timeout=0)
+        request.abort(RoutingError("again"))  # already settled: no-op
+        assert str(future.exception()) == "stopped"
+
 
 # --------------------------------------------------------------------------- #
 # brownout controller (fake router: decisions replay from snapshots)
@@ -671,6 +772,40 @@ class TestDispatchPaths:
                 router.predict(request_x, model="kws"),
                 PackedModel(images["m"])(request_x[None])[0],
             )
+
+    def test_stop_cancels_an_armed_retry(self, images, request_x):
+        """A retry armed before ``stop()`` never reaches ``_submit_once``:
+        ``stop()`` fails the request and its timer thread has exited by the
+        time ``stop()`` returns."""
+        router = ClusterRouter(
+            1, retry=RetryPolicy(base_backoff_s=3.0, max_backoff_s=3.0, jitter=0.0)
+        )
+        router.register("kws", images["m"])
+        dispatches = []
+        submit_once = router._submit_once
+
+        def counting(*args, **kwargs):
+            dispatches.append(kwargs.get("avoid", frozenset()))
+            return submit_once(*args, **kwargs)
+
+        router._submit_once = counting
+        router.start()
+        try:
+            router.pool.inject_sleep(0, 0.3)
+            router.pool.inject_crash(0)
+            future = router.submit(request_x, model="kws")
+            assert wait_until(lambda: router.snapshot().resilience.retries_attempted == 1)
+            (request,) = list(router._resilient)
+            timers = list(request._timers)
+            assert len(timers) == 1 and timers[0].is_alive()
+        finally:
+            router.stop()
+        assert not timers[0].is_alive()
+        with pytest.raises(RoutingError) as caught:
+            future.result(timeout=0)
+        assert isinstance(caught.value.__cause__, WorkerCrashed)
+        time.sleep(0.2)
+        assert dispatches == [frozenset()]  # the primary only
 
 
 # --------------------------------------------------------------------------- #

@@ -99,13 +99,21 @@ class TestWindowingAndSmoothingInvariants:
         hop_ms=st.sampled_from([125.0, 250.0, 375.0, 500.0]),
         smoothing=st.integers(min_value=1, max_value=5),
         seed=st.integers(min_value=0, max_value=2**31 - 1),
+        default=st.booleans(),
     )
     def test_session_matches_solo_detector_bitwise(
-        self, num_samples, hop_ms, smoothing, seed
+        self, packed, num_samples, hop_ms, smoothing, seed, default
     ):
-        config = StreamingConfig(
-            hop_ms=hop_ms, smoothing_windows=smoothing, window_seconds=WINDOW_SECONDS
-        )
+        # the 0.5 s windows hold 24 frames, and none of their hops shares a
+        # frame grid within 24 frames (q = 25); the default 1 s / 250 ms
+        # config is the one whose windows reuse frames
+        if default:
+            config = StreamingConfig(smoothing_windows=smoothing)
+            num_samples += config.window_samples
+        else:
+            config = StreamingConfig(
+                hop_ms=hop_ms, smoothing_windows=smoothing, window_seconds=WINDOW_SECONDS
+            )
         waveform = np.random.default_rng(seed).standard_normal(num_samples) * 0.1
         expected = num_windows(config, num_samples)
         assert expected == (
@@ -113,7 +121,7 @@ class TestWindowingAndSmoothingInvariants:
             if num_samples < config.window_samples
             else 1 + (num_samples - config.window_samples) // config.hop_samples
         )
-        packed_model = _small_packed()
+        packed_model = packed if default else _small_packed()
         manager = _engine_manager(packed_model, config)
         session = manager.open(waveform)
         manager.drain()
@@ -168,6 +176,34 @@ class TestWindowingAndSmoothingInvariants:
     def test_smoother_rejects_bad_span(self):
         with pytest.raises(ConfigError):
             PosteriorSmoother(0)
+
+
+class TestFrameReuse:
+    def test_default_config_counts_reused_frames(self, packed):
+        """One session at the default 1 s / 250 ms config: the first two
+        windows compute all 49 frames, each later one 26 and reuses 23;
+        the kept power rows are released on close."""
+        manager = _engine_manager(packed, StreamingConfig())
+        session = manager.open()
+        waveform = np.random.default_rng(5).standard_normal(16_000 + 5 * 4_000) * 0.1
+        for lo in range(0, len(waveform), 4_000):
+            session.feed(waveform[lo : lo + 4_000])
+        n = session.stats.windows_featurized
+        assert n == 6
+        stats = manager.snapshot()
+        assert stats.frames_computed == 49 * 2 + 26 * (n - 2)
+        assert stats.frames_reused == 23 * (n - 2)
+        assert stats.feature_state_bytes == 188_784
+        tree = manager.telemetry_tree()
+        assert tree["frames_computed"] == stats.frames_computed
+        assert tree["frames_reused"] == stats.frames_reused
+        assert tree["feature_state_bytes"] == 188_784
+        session.close()
+        manager.drain()
+        assert manager.snapshot().feature_state_bytes == 0
+        assert manager.telemetry_tree()["feature_state_bytes"] == 0
+        solo = StreamingDetector(packed, StreamingConfig()).posteriors(waveform)[1]
+        np.testing.assert_array_equal(session.posteriors()[1], solo)
 
 
 class TestManagerWiring:
