@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -113,7 +113,7 @@ class MFCC:
         """Extract MFCCs: returns (num_frames, num_coefficients) float32."""
         signal = self._signal(waveform)
         power = np.empty((self.config.num_frames(len(signal)), self._bins))
-        self.frame_power(signal, 0, power)
+        self.frame_power(signal, [(0, power)])
         return self.cepstra(power)
 
     def _signal(self, waveform: np.ndarray) -> np.ndarray:
@@ -127,42 +127,53 @@ class MFCC:
             )
         return signal
 
-    def frame_power(self, signal: np.ndarray, first: int, out: np.ndarray) -> None:
-        """Power spectra of frames ``first .. first + len(out) - 1`` into ``out``.
+    def frame_power(self, signal: np.ndarray, runs: Sequence[Tuple[int, np.ndarray]]) -> None:
+        """Power spectra of runs of frames, through one ``rfft`` call.
 
-        ``signal`` is the whole float64 clip: its first sample keeps its raw
-        value under pre-emphasis, so frame 0 of a clip differs from the same
+        Each ``(first, out)`` of ``runs`` puts the spectra of frames
+        ``first .. first + len(out) - 1`` into ``out``.  ``signal`` is the
+        whole clip, read as float64: its first sample keeps its raw value
+        under pre-emphasis, so frame 0 of a clip differs from the same
         samples framed anywhere else.  Each row depends on its own frame
-        only (``rfft`` transforms rows independently), so computing any run
-        of frames gives the bytes a whole-clip call gives those rows.
+        only (``rfft`` transforms rows independently), so computing any
+        frames gives the bytes a whole-clip call gives those rows.
         """
+        # the frame views below read one contiguous float64 buffer
+        signal = np.ascontiguousarray(signal, dtype=np.float64)
         step, span = self._frame_step, self._fft_span
-        lo = first * step
-        hi = lo + (len(out) - 1) * step + span
         coefficient = self.config.preemphasis_coefficient
-        if coefficient > 0:
-            # y[t] = x[t] - c*x[t-1]; preemphasis() keeps y[0] = x[0], which
-            # only the clip's own first sample gets
-            if lo:
-                segment = preemphasis(signal[lo - 1 : hi], coefficient)[1:]
-            else:
-                segment = preemphasis(signal[:hi], coefficient)
-        else:
-            segment = signal[lo:hi]
-        frames = np.lib.stride_tricks.as_strided(
-            segment,
-            shape=(len(out), span),
-            strides=(step * segment.strides[0], segment.strides[0]),
-            writeable=False,
-        )
-        padded = np.empty((len(out), self._fft_length))
+        padded = np.empty((sum(len(out) for _, out in runs), self._fft_length))
         padded[:, span:] = 0.0
-        np.multiply(frames, self._window, out=padded[:, :span])
+        row = 0
+        for first, out in runs:
+            lo = first * step
+            hi = lo + (len(out) - 1) * step + span
+            if coefficient > 0:
+                # y[t] = x[t] - c*x[t-1]; preemphasis() keeps y[0] = x[0],
+                # which only the clip's own first sample gets
+                if lo:
+                    segment = preemphasis(signal[lo - 1 : hi], coefficient)[1:]
+                else:
+                    segment = preemphasis(signal[:hi], coefficient)
+            else:
+                segment = signal[lo:hi]
+            frames = np.ndarray(
+                (len(out), span),
+                dtype=np.float64,
+                buffer=segment,
+                strides=(step * segment.itemsize, segment.itemsize),
+            )
+            np.multiply(frames, self._window, out=padded[row : row + len(out), :span])
+            row += len(out)
         spectrum = np.fft.rfft(padded, axis=1)
         parts = spectrum.view(np.float64)  # re, im interleaved per bin
         np.multiply(parts, parts, out=parts)
-        np.add(parts[:, 0::2], parts[:, 1::2], out=out)
-        np.divide(out, self._fft_length, out=out)
+        row = 0
+        for _, out in runs:
+            block = parts[row : row + len(out)]
+            np.add(block[:, 0::2], block[:, 1::2], out=out)
+            np.divide(out, self._fft_length, out=out)
+            row += len(out)
 
     def cepstra(self, power: np.ndarray) -> np.ndarray:
         """(frames, bins) power spectra -> (frames, coefficients) float32 MFCCs.
@@ -238,12 +249,11 @@ class StreamFeaturizer:
             slot = self._index % len(self._tails)
             tail = self._tails[slot]
         if tail is None:
-            extractor.frame_power(signal, 0, power)
+            extractor.frame_power(signal, [(0, power)])
             self.frames_computed += frames
         else:
-            extractor.frame_power(signal, 0, power[:1])
             power[1 : 1 + shared] = tail
-            extractor.frame_power(signal, 1 + shared, power[1 + shared :])
+            extractor.frame_power(signal, [(0, power[:1]), (1 + shared, power[1 + shared :])])
             self.frames_computed += frames - shared
             self.frames_reused += shared
         if shared:

@@ -264,7 +264,7 @@ def _sum_lanes(slab: np.ndarray, schedule: LaneSchedule) -> None:
             head += tail
         else:
             np.add(head, tail, out=tail)
-            np.take(tail, schedule.lane_order, axis=0, out=head, mode="clip")
+            tail.take(schedule.lane_order, axis=0, out=head, mode="clip")
     for rows, source in schedule.steps:
         head = slab[rows]
         head += slab[source]
@@ -273,9 +273,13 @@ def _sum_lanes(slab: np.ndarray, schedule: LaneSchedule) -> None:
 def _lane_matmul(x: np.ndarray, prepared: FusedPlanes, out: np.ndarray) -> None:
     """``out = x @ W.T`` through the lane schedule, chunked along the batch.
 
-    Per chunk row the scratch is the transposed input, the ``nnz (+1)``-row
-    slab and the ``2 * rows`` gathered sums — all counted against
-    :data:`GATHER_SCRATCH_BYTES`.  Besides them, ``np.take`` makes one intp
+    The gather reads ``x.T`` feature-major.  A caller whose ``x`` is the
+    transpose of a C-contiguous array (a conv layer's patches) costs no copy
+    when one chunk covers the batch; any other ``x``, and every chunk of a
+    longer batch, is copied C-contiguous by ``take`` itself.  Per chunk row
+    the scratch is that transposed input, the ``nnz (+1)``-row slab and the
+    ``2 * rows`` gathered sums — all counted against
+    :data:`GATHER_SCRATCH_BYTES`.  Besides them, ``take`` makes one intp
     copy of the int32 gather order (8 bytes per non-zero weight), whatever
     the batch.
     """
@@ -284,14 +288,13 @@ def _lane_matmul(x: np.ndarray, prepared: FusedPlanes, out: np.ndarray) -> None:
     scratch = prepared.cols + nnz + schedule.zero_row + 2 * rows
     chunk = gather_chunk_rows(scratch, x.dtype.itemsize)
     for lo in range(0, x.shape[0], chunk):
-        xt = np.ascontiguousarray(x[lo : lo + chunk].T)
+        xt = x[lo : lo + chunk].T
         slab = np.empty((nnz + schedule.zero_row, xt.shape[1]), dtype=x.dtype)
-        np.take(xt, prepared.order, axis=0, out=slab[:nnz], mode="clip")
-        del xt
+        xt.take(prepared.order, axis=0, out=slab[:nnz], mode="clip")
         if schedule.zero_row:
             slab[nnz] = 0
         _sum_lanes(slab, schedule)
-        sums = np.take(slab, schedule.sums_index, axis=0, mode="clip")
+        sums = slab.take(schedule.sums_index, axis=0, mode="clip")
         del slab
         np.subtract(sums[:rows], sums[rows:], out=out[lo : lo + chunk].T)
 

@@ -22,10 +22,9 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from repro.deploy.image import LayerRecord, ModelImage
 from repro.deploy.packing import unpack_ternary
@@ -130,35 +129,40 @@ def decode_layer(record: LayerRecord, backend: Optional[KernelBackend] = None) -
 
 
 def _conv_patches(x: np.ndarray, kh: int, kw: int, stride, padding) -> np.ndarray:
-    """Extract the (N, OH, OW, C*KH*KW) patch matrix of an NCHW input.
+    """The feature-major ``(C*KH*KW, N, OH, OW)`` patch matrix of an NCHW input.
 
-    Works on the NHWC view of ``x``, which is free for every layer output
-    here: their NCHW views sit on NHWC memory.  Padding goes into a zeroed
-    NHWC buffer and the windows are cut from it with ``as_strided``; a 1×1,
-    stride-1, unpadded (pointwise) layer's patches are the NHWC view itself,
-    with no copy.  The last axis runs channel-major, then KH, then KW — the
-    order W_b's columns are flattened in.
+    Its first axis runs channel-major, then KH, then KW, the order W_b's
+    columns are flattened in, so ``patches.reshape(d, -1).T`` is the
+    ``(N*OH*OW, d)`` matmul input whose transpose, the fused gather's
+    feature-major layout, is C-contiguous.  The windows are cut from an
+    NHWC buffer (a zeroed copy when padding, else the NHWC view of ``x``,
+    which is free for every layer output here: their NCHW views sit on NHWC
+    memory) through one strided view, and copied once.  A 1×1, stride-1,
+    unpadded (pointwise) layer's patches are a view of that NHWC memory,
+    with no copy: their matmul input is the C-contiguous NHWC matrix.
     """
     sh, sw = stride
     ph, pw = padding
     x = x.transpose(0, 2, 3, 1)
     if (kh, kw, sh, sw, ph, pw) == (1, 1, 1, 1, 0, 0):
-        return x
+        return x.transpose(3, 0, 1, 2)
     n, h, w, c = x.shape
     if ph or pw:
         padded = np.zeros((n, h + 2 * ph, w + 2 * pw, c), dtype=x.dtype)
         padded[:, ph : ph + h, pw : pw + w] = x
         x = padded
+    else:
+        x = np.ascontiguousarray(x)  # the strided view below needs one buffer
     oh = (x.shape[1] - kh) // sh + 1
     ow = (x.shape[2] - kw) // sw + 1
     s_n, s_h, s_w, s_c = x.strides
-    windows = as_strided(
-        x,
-        shape=(n, oh, ow, c, kh, kw),
-        strides=(s_n, s_h * sh, s_w * sw, s_c, s_h, s_w),
-        writeable=False,
+    windows = np.ndarray(
+        (c, kh, kw, n, oh, ow),
+        dtype=x.dtype,
+        buffer=x,
+        strides=(s_c, s_h, s_w, s_n, s_h * sh, s_w * sw),
     )
-    return windows.reshape(n, oh, ow, c * kh * kw)
+    return np.ascontiguousarray(windows).reshape(c * kh * kw, n, oh, ow)
 
 
 class PackedModel:
@@ -210,44 +214,55 @@ class PackedModel:
 
     # -- layer kernels --------------------------------------------------- #
 
-    @_profiled
-    def _conv(self, plan: LayerPlan, x: np.ndarray) -> np.ndarray:
-        """Strassen conv/pointwise: patches → ternary W_b → ⊙â → ternary W_c."""
-        kh, kw = plan.kernel
-        meta = plan.meta
+    def _strassen(self, plan: LayerPlan, x: np.ndarray) -> np.ndarray:
+        """ternary W_b → ⊙â → ternary W_c → scale, shift (→ ReLU), in place
+        on each matmul's fresh (M, rows) result."""
         matmul = self.kernel_backend.matmul
-        patches = _conv_patches(x, kh, kw, meta["stride"], meta["padding"])
-        n, oh, ow, d = patches.shape
-        hidden = matmul(patches.reshape(-1, d), plan.wb)  # additions only
+        hidden = matmul(x, plan.wb)  # additions only
         hidden *= plan.a_hat  # the r multiplications
         out = matmul(hidden, plan.wc)  # additions only
-        out = out * plan.out_scale + plan.out_shift
-        out = out.reshape(n, oh, ow, -1).transpose(0, 3, 1, 2)
-        return np.maximum(out, 0.0) if meta.get("relu") else out
+        out *= plan.out_scale
+        out += plan.out_shift
+        if plan.meta.get("relu"):
+            np.maximum(out, 0.0, out=out)
+        return out
+
+    @_profiled
+    def _conv(self, plan: LayerPlan, x: np.ndarray) -> np.ndarray:
+        """Strassen conv/pointwise: patches → ternary W_b → ⊙â → ternary W_c.
+
+        Takes an NCHW array and returns an NCHW view on NHWC memory.
+        """
+        kh, kw = plan.kernel
+        meta = plan.meta
+        patches = _conv_patches(x, kh, kw, meta["stride"], meta["padding"])
+        d, n, oh, ow = patches.shape
+        out = self._strassen(plan, patches.reshape(d, -1).T)
+        return out.reshape(n, oh, ow, -1).transpose(0, 3, 1, 2)
 
     @_profiled
     def _depthwise(self, plan: LayerPlan, x: np.ndarray) -> np.ndarray:
-        """Grouped-SPN depthwise: ternary per-channel filter → ⊙(â·w_c)."""
+        """Grouped-SPN depthwise: ternary per-channel filter → ⊙(â·w_c).
+
+        Takes an NCHW array and returns an NCHW view on NHWC memory.
+        """
         kh, kw = plan.kernel
         meta = plan.meta
-        c = x.shape[1]
-        # same (M, C*K) patch layout as _conv; the block-diagonal planes
-        # restrict each channel's gather to its own K columns
+        # same patch layout as _conv; the block-diagonal planes restrict
+        # each channel's gather to its own K columns
         patches = _conv_patches(x, kh, kw, meta["stride"], meta["padding"])
-        n, oh, ow, _ = patches.shape
-        hidden = self.kernel_backend.matmul(patches.reshape(n * oh * ow, -1), plan.wb)
-        hidden = hidden.reshape(n, oh, ow, c).transpose(0, 3, 1, 2)
-        scale = (plan.a_hat * plan.wc_vector * plan.out_scale).reshape(1, c, 1, 1)
-        out = hidden * scale + plan.out_shift.reshape(1, c, 1, 1)
-        return np.maximum(out, 0.0) if meta.get("relu") else out
+        d, n, oh, ow = patches.shape
+        out = self.kernel_backend.matmul(patches.reshape(d, -1).T, plan.wb)
+        out *= plan.a_hat * plan.wc_vector * plan.out_scale
+        out += plan.out_shift
+        if meta.get("relu"):
+            np.maximum(out, 0.0, out=out)
+        return out.reshape(n, oh, ow, -1).transpose(0, 3, 1, 2)
 
     @_profiled
     def _linear(self, plan: LayerPlan, z: np.ndarray) -> np.ndarray:
         """Strassen matmul on feature vectors (tree nodes)."""
-        matmul = self.kernel_backend.matmul
-        hidden = matmul(z, plan.wb) * plan.a_hat
-        out = matmul(hidden, plan.wc)
-        return out * plan.out_scale + plan.out_shift
+        return self._strassen(plan, z)
 
     # -- full network ----------------------------------------------------- #
 
@@ -270,6 +285,8 @@ class PackedModel:
         for i in range(self.header["num_conv_layers"] - 1):
             x = self._depthwise(self._plan(f"ds{i}.dw"), x)
             x = self._conv(self._plan(f"ds{i}.pw"), x)
+        # the mean's summation order follows the memory layout: it reduces
+        # the NHWC memory every layer output sits on
         return x.mean(axis=(2, 3))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
@@ -282,24 +299,31 @@ class PackedModel:
         sigma = self.header["prediction_sigma"]
         n = z.shape[0]
         # one stacked matmul pair scores every node: θ_0..θ_{I−1}, W_0..W_{N−1},
-        # V_0..V_{N−1}; the routing and accumulation below keep the per-node
-        # order, so each output element is summed exactly as node by node
+        # V_0..V_{N−1}; each output element below is computed and summed in
+        # the node-by-node order
         nodes = self._linear(self._plan("tree"), z)
         w_scores = nodes[:, num_internal : num_internal + num_nodes * labels]
         v_scores = nodes[:, num_internal + num_nodes * labels :]
 
-        weights: List[np.ndarray] = [np.zeros((n, 1))] * num_nodes
-        weights[0] = np.ones((n, 1), dtype=np.float32)
-        for k in range(num_internal):
-            go_left = (nodes[:, k : k + 1] > 0).astype(np.float32)
-            weights[2 * k + 1] = weights[k] * go_left
-            weights[2 * k + 2] = weights[k] * (1.0 - go_left)
+        # weights[:, k] is 1.0 on the path a window takes and 0.0 off it: a
+        # node's weight is its parent's times the branch taken, level by level
+        go_left = nodes[:, :num_internal, None] > 0
+        weights = np.empty((n, num_nodes, 1), dtype=np.float32)
+        weights[:, 0] = 1.0
+        for level in range(depth):
+            parents = slice(2**level - 1, 2 ** (level + 1) - 1)
+            children = weights[:, parents.stop : 2 * parents.stop + 1].reshape(n, -1, 2)
+            np.multiply(weights[:, parents], go_left[:, parents], out=children[:, :, :1])
+            np.multiply(weights[:, parents], ~go_left[:, parents], out=children[:, :, 1:])
 
+        # (N, nodes, L) leaf terms w·W_k(z)·tanh(σ·V_k(z)), summed node by node
+        # from +0.0: np.add.reduce would sum a contiguous node axis pairwise
+        terms = weights * w_scores.reshape(n, num_nodes, labels)
+        tanh = sigma * v_scores.reshape(n, num_nodes, labels)
+        terms *= np.tanh(tanh, out=tanh)
         scores = np.zeros((n, labels), dtype=np.float32)
         for k in range(num_nodes):
-            w_score = w_scores[:, k * labels : (k + 1) * labels]
-            v_score = v_scores[:, k * labels : (k + 1) * labels]
-            scores += weights[k] * w_score * np.tanh(sigma * v_score)
+            scores += terms[:, k]
         return scores
 
     def predict(self, x: np.ndarray) -> np.ndarray:

@@ -31,6 +31,7 @@ waveform — ``benchmarks/bench_streams.py`` gates exactly that.
 
 from __future__ import annotations
 
+import functools
 import time
 from collections import deque
 from concurrent.futures import Future
@@ -91,7 +92,10 @@ class StreamSession:
     :meth:`feed` (any chunk sizes), analysis windows are cut as soon as
     enough samples exist, and the manager ships them to the backend.
     Resolved posteriors accumulate in window order and are read back with
-    :meth:`posteriors` / :meth:`detect`.
+    :meth:`posteriors` / :meth:`detect`.  ``extractor`` is the
+    :class:`~repro.audio.mfcc.MFCC` the session's featurizer runs through:
+    its manager passes the one it shares, and a session built without one
+    makes its own.
     """
 
     def __init__(
@@ -101,13 +105,19 @@ class StreamSession:
         feature_mean: Optional[np.ndarray],
         feature_std: Optional[np.ndarray],
         total_windows: Optional[int] = None,
+        *,
+        extractor: Optional[MFCC] = None,
     ) -> None:
+        if extractor is None:
+            extractor = MFCC(config.mfcc)
+        elif extractor.config != config.mfcc:
+            raise ConfigError("the extractor's MFCC config is not the session's")
         self.session_id = session_id
         self.config = config
         self.closed = False
         self.stats = SessionStats()
         #: featurizes this stream's windows, reusing shared frames' power rows
-        self.featurizer = MFCC(config.mfcc).stream(config.window_samples, config.hop_samples)
+        self.featurizer = extractor.stream(config.window_samples, config.hop_samples)
         self._smoother = PosteriorSmoother(config.smoothing_windows, total_windows=total_windows)
         self._feature_mean = feature_mean
         self._feature_std = feature_std
@@ -131,7 +141,8 @@ class StreamSession:
 
         Returns how many windows became ready.  Chunks may be any length —
         windowing follows the same ``hop``/``window`` arithmetic as
-        ``StreamingDetector.posteriors`` over the concatenated stream.
+        ``StreamingDetector.posteriors`` over the concatenated stream.  The
+        samples are copied, so the caller may reuse its buffer at once.
         """
         if self.closed:
             raise ConfigError(f"session {self.session_id} is closed")
@@ -141,7 +152,7 @@ class StreamSession:
         samples = np.asarray(samples, dtype=np.float64)
         if samples.ndim != 1:
             raise ConfigError("sessions consume 1-D waveforms")
-        self._buffer = np.concatenate([self._buffer, samples]) if self._buffer.size else samples
+        self._buffer = np.concatenate([self._buffer, samples])
         hop = self.config.hop_samples
         window = self.config.window_samples
         cut = 0
@@ -173,7 +184,8 @@ class StreamSession:
         Constrained IoT clients often ship MFCC features instead of raw
         audio; such windows enter the same ready queue and burst path.  A
         session ingests either raw audio or features, never both — the
-        windowing arithmetic has no meaning across the two.
+        windowing arithmetic has no meaning across the two.  Each window is
+        copied, so the caller may reuse its buffer at once.
         """
         if self.closed:
             raise ConfigError(f"session {self.session_id} is closed")
@@ -183,7 +195,7 @@ class StreamSession:
         count = 0
         for window in features:
             self.ready.append(
-                (self._emitted, np.asarray(window, dtype=np.float32), time.monotonic())
+                (self._emitted, np.array(window, dtype=np.float32), time.monotonic())
             )
             self._emitted += 1
             self.stats.windows_featurized += 1
@@ -341,6 +353,12 @@ class StreamSessionManager:
 
     # -- session lifecycle ------------------------------------------------- #
 
+    @functools.cached_property
+    def _extractor(self) -> MFCC:
+        """The one MFCC extractor every session featurizes through (``MFCC``
+        keeps no per-call state), built at the first :meth:`open`."""
+        return MFCC(self.config.mfcc)
+
     @property
     def sessions(self) -> List[StreamSession]:
         """Every session opened on this manager, in open order."""
@@ -374,6 +392,7 @@ class StreamSessionManager:
             self.feature_mean,
             self.feature_std,
             total_windows=total,
+            extractor=self._extractor,
         )
         self._sessions[session_id] = session
         self.stats.sessions += 1

@@ -207,17 +207,32 @@ class TestStreamFeaturizer:
         assert featurizer.state_bytes == 0
 
     def test_rows_of_partial_power_match_the_whole(self):
-        """A 1-row and a 25-row frame-power call give the bytes of those
-        rows of the 49-row call (rfft transforms rows independently)."""
+        """A 1-row and a 25-row run, through one frame-power call or one
+        call each, give the bytes of those rows of the 49-row call (rfft
+        transforms rows independently)."""
         extractor = MFCC()
         signal = np.random.default_rng(1).standard_normal(16_000)
         whole = np.empty((49, 513))
-        extractor.frame_power(signal, 0, whole)
+        extractor.frame_power(signal, [(0, whole)])
         first, last = np.empty((1, 513)), np.empty((25, 513))
-        extractor.frame_power(signal, 0, first)
-        extractor.frame_power(signal, 24, last)
+        extractor.frame_power(signal, [(0, first), (24, last)])
         assert first.tobytes() == whole[:1].tobytes()
         assert last.tobytes() == whole[24:].tobytes()
+        extractor.frame_power(signal, [(24, last)])
+        assert last.tobytes() == whole[24:].tobytes()
+
+    @pytest.mark.parametrize("coefficient", [0.97, 0.0])
+    def test_frame_power_reads_any_signal_as_float64(self, coefficient):
+        """A float32 or strided clip gives the bytes of its contiguous
+        float64 copy, with pre-emphasis on and off."""
+        extractor = MFCC(MFCCConfig(preemphasis_coefficient=coefficient))
+        samples = np.random.default_rng(2).standard_normal(32_000)
+        for signal in (samples[:16_000].astype(np.float32), samples[::2]):
+            want, got = np.empty((49, 513)), np.empty((49, 513))
+            extractor.frame_power(np.array(signal, dtype=np.float64), [(0, want)])
+            extractor.frame_power(signal, [(0, got[:1]), (24, got[24:])])
+            assert got[:1].tobytes() == want[:1].tobytes()
+            assert got[24:].tobytes() == want[24:].tobytes()
 
     def test_window_length_is_checked(self):
         featurizer = MFCC().stream(16_000, 4_000)

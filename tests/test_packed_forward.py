@@ -1,27 +1,31 @@
-"""Layout contracts of the packed forward: the stacked tree, conv patches and
-the order in which a ``PackedModel`` prepares and runs its planes.
+"""Layout contracts of the packed forward: the stacked tree, conv patches,
+the layer methods and the order in which a ``PackedModel`` prepares and
+runs its planes.
 
 Each contract is checked bitwise against a test-local copy of the layout it
-replaced: a node-by-node tree evaluator and the ``np.pad`` +
-``sliding_window_view`` patch extraction.
+replaced: a node-by-node tree evaluator, the ``np.pad`` +
+``sliding_window_view`` patch extraction, and the previous forward's layer
+methods, ``features`` and ``__call__``.
 """
 
 from __future__ import annotations
 
 import functools
+from typing import List
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.core.hybrid import HybridConfig, STHybridNet
 from repro.core.strassen import freeze_all
 from repro.deploy import build_image, pack_ternary
+from repro.errors import ConfigError
 from repro.serving import PackedModel, decode_planes, ternary_matmul
 from repro.serving.kernels_fast import KernelBackend, resolve_backend
-from repro.serving.packed import _conv_patches
+from repro.serving.packed import LayerPlan, _conv_patches
 
 
 @functools.lru_cache(maxsize=None)
@@ -126,13 +130,17 @@ def _per_node_scores(image, z: np.ndarray) -> np.ndarray:
 
 
 class TestStackedTree:
+    # one label makes the node axis of the (N, nodes, 1) leaf terms contiguous,
+    # where np.add.reduce would sum it pairwise; with at most one non-zero
+    # term per tree level that changes a sum's bits only from depth 4 on
     @given(
         seed=st.integers(0, 3),
         batch=st.integers(1, 64),
         width=st.sampled_from([4, 8, 16]),
-        depth=st.sampled_from([1, 2, 3]),
-        labels=st.sampled_from([3, 12]),
+        depth=st.sampled_from([1, 2, 3, 4]),
+        labels=st.sampled_from([1, 3, 12]),
     )
+    @example(seed=0, batch=64, width=8, depth=4, labels=1)
     @settings(max_examples=20, deadline=None)
     def test_matches_per_node_evaluator_bitwise(self, seed, batch, width, depth, labels):
         image = _image(width, seed, depth, labels)
@@ -156,6 +164,157 @@ def _old_conv_patches(x, kh, kw, stride, padding):
     return np.ascontiguousarray(windows.transpose(0, 2, 3, 1, 4, 5)).reshape(
         x.shape[0], windows.shape[2], windows.shape[3], -1
     )
+
+
+class _PreviousForward:
+    """The forward before patches went feature-major: its layer methods,
+    ``features`` and ``__call__`` verbatim (with ``_old_conv_patches``, the
+    bitwise twin of its patch extraction), run on a ``PackedModel``'s own
+    plans and backend.  Batch-major patches, out-of-place epilogues and a
+    node-by-node tree loop: every output byte must stay the same."""
+
+    def __init__(self, model: PackedModel) -> None:
+        self.kernel_backend = model.kernel_backend
+        self.header = model.header
+        self._input_shape = model._input_shape
+        self._plan = model._plan
+
+    def _conv(self, plan: LayerPlan, x: np.ndarray) -> np.ndarray:
+        """Strassen conv/pointwise: patches → ternary W_b → ⊙â → ternary W_c."""
+        kh, kw = plan.kernel
+        meta = plan.meta
+        matmul = self.kernel_backend.matmul
+        patches = _old_conv_patches(x, kh, kw, meta["stride"], meta["padding"])
+        n, oh, ow, d = patches.shape
+        hidden = matmul(patches.reshape(-1, d), plan.wb)  # additions only
+        hidden *= plan.a_hat  # the r multiplications
+        out = matmul(hidden, plan.wc)  # additions only
+        out = out * plan.out_scale + plan.out_shift
+        out = out.reshape(n, oh, ow, -1).transpose(0, 3, 1, 2)
+        return np.maximum(out, 0.0) if meta.get("relu") else out
+
+    def _depthwise(self, plan: LayerPlan, x: np.ndarray) -> np.ndarray:
+        """Grouped-SPN depthwise: ternary per-channel filter → ⊙(â·w_c)."""
+        kh, kw = plan.kernel
+        meta = plan.meta
+        c = x.shape[1]
+        # same (M, C*K) patch layout as _conv; the block-diagonal planes
+        # restrict each channel's gather to its own K columns
+        patches = _old_conv_patches(x, kh, kw, meta["stride"], meta["padding"])
+        n, oh, ow, _ = patches.shape
+        hidden = self.kernel_backend.matmul(patches.reshape(n * oh * ow, -1), plan.wb)
+        hidden = hidden.reshape(n, oh, ow, c).transpose(0, 3, 1, 2)
+        scale = (plan.a_hat * plan.wc_vector * plan.out_scale).reshape(1, c, 1, 1)
+        out = hidden * scale + plan.out_shift.reshape(1, c, 1, 1)
+        return np.maximum(out, 0.0) if meta.get("relu") else out
+
+    def _linear(self, plan: LayerPlan, z: np.ndarray) -> np.ndarray:
+        """Strassen matmul on feature vectors (tree nodes)."""
+        matmul = self.kernel_backend.matmul
+        hidden = matmul(z, plan.wb) * plan.a_hat
+        out = matmul(hidden, plan.wc)
+        return out * plan.out_scale + plan.out_shift
+
+    def features(self, x: np.ndarray) -> np.ndarray:
+        """Conv feature extractor: (N, T, F) → (N, width).
+
+        Raises :class:`ConfigError` unless each window's (T, F) is the
+        image's ``input_shape``.
+        """
+        x = np.asarray(x, dtype=np.float32)
+        if x.ndim == 2:
+            x = x[None]
+        if x.shape[1:] != self._input_shape:
+            raise ConfigError(
+                f"input windows have shape {x.shape[1:]}, but the image takes "
+                f"{self._input_shape} (frames, coefficients)"
+            )
+        x = x[:, None, :, :]  # NCHW
+        x = self._conv(self._plan("conv1"), x)
+        for i in range(self.header["num_conv_layers"] - 1):
+            x = self._depthwise(self._plan(f"ds{i}.dw"), x)
+            x = self._conv(self._plan(f"ds{i}.pw"), x)
+        return x.mean(axis=(2, 3))
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """Full inference: MFCC batch → (N, num_labels) class scores."""
+        z = self.features(x)
+        depth = self.header["tree_depth"]
+        num_nodes = 2 ** (depth + 1) - 1
+        num_internal = 2**depth - 1
+        labels = self.header["num_labels"]
+        sigma = self.header["prediction_sigma"]
+        n = z.shape[0]
+        # one stacked matmul pair scores every node: θ_0..θ_{I−1}, W_0..W_{N−1},
+        # V_0..V_{N−1}; the routing and accumulation below keep the per-node
+        # order, so each output element is summed exactly as node by node
+        nodes = self._linear(self._plan("tree"), z)
+        w_scores = nodes[:, num_internal : num_internal + num_nodes * labels]
+        v_scores = nodes[:, num_internal + num_nodes * labels :]
+
+        weights: List[np.ndarray] = [np.zeros((n, 1))] * num_nodes
+        weights[0] = np.ones((n, 1), dtype=np.float32)
+        for k in range(num_internal):
+            go_left = (nodes[:, k : k + 1] > 0).astype(np.float32)
+            weights[2 * k + 1] = weights[k] * go_left
+            weights[2 * k + 2] = weights[k] * (1.0 - go_left)
+
+        scores = np.zeros((n, labels), dtype=np.float32)
+        for k in range(num_nodes):
+            w_score = w_scores[:, k * labels : (k + 1) * labels]
+            v_score = v_scores[:, k * labels : (k + 1) * labels]
+            scores += weights[k] * w_score * np.tanh(sigma * v_score)
+        return scores
+
+
+class TestPreviousForward:
+    @given(
+        seed=st.integers(0, 3),
+        batch=st.integers(1, 64),
+        width=st.sampled_from([4, 8, 16]),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_forward_and_features_match_previous_bitwise(self, seed, batch, width):
+        image = _image(width, seed)
+        x = np.random.default_rng(seed).standard_normal((batch, 49, 10)).astype(np.float32)
+        for kernel in ("reference", "fused"):
+            for cache in (True, False):
+                model = PackedModel(image, cache=cache, kernel=kernel)
+                previous = _PreviousForward(model)
+                pairs = ((model(x), previous(x)), (model.features(x), previous.features(x)))
+                for got, want in pairs:
+                    assert got.dtype == want.dtype == np.float32
+                    assert got.tobytes() == want.tobytes(), (kernel, cache)
+
+    @given(
+        seed=st.integers(0, 3),
+        batch=st.integers(1, 16),
+        width=st.sampled_from([4, 8, 16]),
+        layout=st.sampled_from(["nchw", "nhwc"]),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_layer_methods_match_previous_bitwise(self, seed, batch, width, layout):
+        """Each layer method, on a true-NCHW input or an NCHW view on NHWC
+        memory, returns the previous forward's values with its strides: an
+        NCHW view on NHWC memory."""
+        image = _image(width, seed)
+        rng = np.random.default_rng(seed)
+        for kernel in ("reference", "fused"):
+            model = PackedModel(image, kernel=kernel)
+            previous = _PreviousForward(model)
+            for name, method, channels, height, cols in (
+                ("conv1", "_conv", 1, 49, 10),
+                ("ds0.dw", "_depthwise", width, 25, 5),
+                ("ds0.pw", "_conv", width, 25, 5),
+            ):
+                x = rng.standard_normal((batch, channels, height, cols)).astype(np.float32)
+                if layout == "nhwc":
+                    x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+                plan = model._plan(name)
+                got = getattr(model, method)(plan, x)
+                want = getattr(previous, method)(plan, x)
+                assert got.shape == want.shape and got.strides == want.strides, name
+                assert got.tobytes() == want.tobytes(), (kernel, name)
 
 
 @st.composite
@@ -183,12 +342,19 @@ class TestConvPatches:
         x, kh, kw, stride, padding = case
         got = _conv_patches(x, kh, kw, stride, padding)
         want = _old_conv_patches(x, kh, kw, stride, padding)
-        assert got.shape == want.shape and got.dtype == want.dtype
-        assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+        # feature-major: (C*KH*KW, N, OH, OW) against (N, OH, OW, C*KH*KW)
+        assert got.transpose(1, 2, 3, 0).shape == want.shape and got.dtype == want.dtype
+        assert np.ascontiguousarray(got.transpose(1, 2, 3, 0)).tobytes() == want.tobytes()
+        if (kh, kw, stride, padding) != (1, 1, (1, 1), (0, 0)):
+            # straight into the fused gather's feature-major layout
+            assert got.flags.c_contiguous
 
     def test_pointwise_patches_are_a_view(self, rng):
         nhwc = rng.standard_normal((2, 5, 4, 6)).astype(np.float32)
         x = nhwc.transpose(0, 3, 1, 2)
         patches = _conv_patches(x, 1, 1, (1, 1), (0, 0))
-        assert np.shares_memory(patches, nhwc) and patches.flags.c_contiguous
-        np.testing.assert_array_equal(patches, nhwc)
+        assert np.shares_memory(patches, nhwc)
+        # the matmul input is the C-contiguous NHWC matrix itself
+        matrix = patches.reshape(6, -1).T
+        assert np.shares_memory(matrix, nhwc) and matrix.flags.c_contiguous
+        np.testing.assert_array_equal(matrix, nhwc.reshape(-1, 6))

@@ -206,8 +206,8 @@ class TestPackedModel:
         stride = tuple(plan.meta["stride"])
         padding = tuple(plan.meta["padding"])
         patches = _conv_patches(x, kh, kw, stride, padding)
-        n, oh, ow, d = patches.shape
-        hidden = ternary_matmul(patches.reshape(-1, d), plan.wb)
+        d, n, oh, ow = patches.shape
+        hidden = ternary_matmul(patches.reshape(d, -1).T, plan.wb)
         with no_grad():
             reference = conv2d(
                 Tensor(x),

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.audio.mfcc import MFCC, MFCCConfig
 from repro.core.hybrid import HybridConfig, STHybridNet
 from repro.core.strassen import freeze_all
 from repro.deploy import build_image
@@ -33,6 +34,7 @@ from repro.serving import (
     Priority,
     PriorityPolicy,
     SlabConfig,
+    StreamSession,
     StreamSessionManager,
 )
 from repro.serving.loadgen import (
@@ -204,6 +206,47 @@ class TestFrameReuse:
         assert manager.telemetry_tree()["feature_state_bytes"] == 0
         solo = StreamingDetector(packed, StreamingConfig()).posteriors(waveform)[1]
         np.testing.assert_array_equal(session.posteriors()[1], solo)
+
+
+class TestCallerBuffers:
+    """A session copies what it is fed: clients reuse one capture buffer."""
+
+    def test_feed_copies_a_reused_capture_buffer(self, packed):
+        config = StreamingConfig()
+        manager = _engine_manager(packed, config)
+        session = manager.open()
+        waveform = np.random.default_rng(8).standard_normal(16_000 + 6 * 4_000) * 0.1
+        capture = np.empty(6_000)  # overwritten by every chunk
+        for lo in range(0, len(waveform), len(capture)):
+            chunk = waveform[lo : lo + len(capture)]
+            capture[: len(chunk)] = chunk
+            session.feed(capture[: len(chunk)])
+        assert len(session.ready) == num_windows(config, len(waveform)) == 7
+        extractor = MFCC(config.mfcc)
+        for index, features, _ in session.ready:
+            lo = index * config.hop_samples
+            want = extractor(waveform[lo : lo + config.window_samples])
+            assert features.tobytes() == want.tobytes(), index
+
+    def test_feed_features_copies_each_window(self, packed):
+        manager = _engine_manager(packed, StreamingConfig())
+        session = manager.open()
+        windows = np.random.default_rng(9).standard_normal((3, 49, 10)).astype(np.float32)
+        buffer = np.empty((49, 10), dtype=np.float32)  # one buffer, refilled
+        for window in windows:
+            buffer[...] = window
+            session.feed_features([buffer])
+        for (_, features, _), window in zip(session.ready, windows):
+            assert features.tobytes() == window.tobytes()
+
+    def test_sessions_share_the_managers_extractor(self, packed):
+        config = StreamingConfig()
+        manager = _engine_manager(packed, config)
+        first, second = manager.open(), manager.open()
+        assert first.featurizer.extractor is second.featurizer.extractor
+        other = MFCC(MFCCConfig(num_mel_filters=20))
+        with pytest.raises(ConfigError):
+            StreamSession("s", config, None, None, extractor=other)
 
 
 class TestManagerWiring:
