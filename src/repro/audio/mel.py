@@ -41,10 +41,12 @@ def mel_filterbank(
     hz_points = mel_to_hz(mel_points)
     bin_freqs = np.linspace(0.0, sample_rate / 2.0, bins)
 
-    bank = np.zeros((num_filters, bins))
-    for m in range(num_filters):
-        left, centre, right = hz_points[m], hz_points[m + 1], hz_points[m + 2]
-        up = (bin_freqs - left) / max(centre - left, 1e-12)
-        down = (right - bin_freqs) / max(right - centre, 1e-12)
-        bank[m] = np.clip(np.minimum(up, down), 0.0, None)
-    return bank
+    # one row per filter: its edges as column vectors against every bin,
+    # in two (filters, bins) arrays; the 1e-12 floor keeps a zero-width
+    # slope finite
+    left, centre, right = hz_points[:-2, None], hz_points[1:-1, None], hz_points[2:, None]
+    up = bin_freqs - left
+    up /= np.maximum(centre - left, 1e-12)
+    down = right - bin_freqs
+    down /= np.maximum(right - centre, 1e-12)
+    return np.clip(np.minimum(up, down, out=up), 0.0, None, out=up)

@@ -49,6 +49,30 @@ def get_kernel_profile() -> Optional[object]:
     return _PROFILE
 
 
+#: the unsigned widths a plan stores indices at, narrowest first, each with
+#: its largest value (``np.iinfo`` per call would cost a decode 70 µs)
+_INDEX_DTYPES = tuple(
+    (np.iinfo(code).max, np.dtype(code)) for code in (np.uint8, np.uint16, np.uint32)
+)
+
+
+def index_dtype(largest: int) -> np.dtype:
+    """The narrowest unsigned dtype that holds every index in ``[0, largest]``.
+
+    Both backends store each index array a prepared plan keeps at this
+    width, chosen once per plane from the array's bound (``cols - 1`` for a
+    column, the non-zero count for a CSR bound or a slab row): a plane of
+    at most 256 columns keeps one byte per column index.  ``take``, fancy
+    indexing and ``reduceat`` widen any such index to intp on every call,
+    as they widen int32.  A bound past uint32 stays intp, since
+    ``reduceat`` refuses uint64 indices.
+    """
+    for top, dtype in _INDEX_DTYPES:
+        if largest <= top:
+            return dtype
+    return np.dtype(np.intp)
+
+
 @dataclass(frozen=True)
 class TernaryPlanes:
     """A ternary (rows × cols) matrix as +1/−1 index planes in CSR form.
@@ -58,6 +82,11 @@ class TernaryPlanes:
     delimited by ``ptr`` (``2 * rows + 1`` bounds).  ``plus_indices[
     plus_ptr[j]:plus_ptr[j+1]]`` are the column positions of the +1 entries
     of row ``j``, and symmetrically for minus.
+
+    :func:`decode_planes` and :func:`as_block_diagonal` build intp planes;
+    the reference backend keeps ``indices`` and ``ptr`` at their
+    :func:`index_dtype` widths (``cols - 1`` and ``nnz``), each in memory
+    of its own.  :func:`ternary_matmul` runs either, with the same bits.
     """
 
     rows: int

@@ -42,6 +42,7 @@ from repro.serving.kernels import (
     TernaryPlanes,
     gather_chunk_rows,
     get_kernel_profile,
+    index_dtype,
     ternary_matmul,
 )
 
@@ -99,7 +100,9 @@ class LaneSchedule(NamedTuple):
       short ones (a suffix of theirs) then lane ones (a prefix).
 
     Each step is one in-place add of contiguous rows (the level adds run
-    over a position-major view of such rows).
+    over a position-major view of such rows).  The two index arrays are
+    stored at their :func:`~repro.serving.kernels.index_dtype` widths, of
+    ``nnz`` and ``lanes - 1``; the slices and counts are Python objects.
     """
 
     #: (2 * rows,) slab row holding each segment's sum; ``nnz`` if empty
@@ -133,7 +136,8 @@ def _lane_layout(
 
     One argsort orders the segments (a second one, over the lane segments
     only, orders their blocks); each slab block is then one arithmetic
-    step on its segments' start positions.
+    step on its segments' start positions.  That arithmetic runs in intp;
+    the schedule's own index arrays are built in their stored widths.
     """
     segments = lengths.size
     keys = _SORT_KEYS[lengths]
@@ -157,8 +161,8 @@ def _lane_layout(
             # blocks list lane segments by descending block count, so the
             # ones with a block k are a prefix; lane_order maps them back
             by_blocks = (-blocks).argsort(kind="stable")
-            lane_order = np.empty(lanes, dtype=np.intp)
-            lane_order[by_blocks] = np.arange(lanes)
+            lane_order = np.empty(lanes, dtype=index_dtype(lanes - 1))
+            lane_order[by_blocks] = np.arange(lanes, dtype=lane_order.dtype)
             lane_heads = lane_heads[by_blocks]
         with_block = list(itertools.accumulate(np.bincount(blocks)[:0:-1].tolist()))[::-1]
         for k, count in enumerate(with_block):  # lane segments with a block k
@@ -177,8 +181,11 @@ def _lane_layout(
         row += hi - lo
     steps.append((slice(0, shorts + lanes), slice(first, first + shorts + lanes)))
 
-    sums_index = np.empty(segments, dtype=np.int32)
-    sums_index[order] = np.arange(segments, dtype=np.int32)
+    # a non-empty segment's sum lands in its first element's row, the
+    # segment's rank in sum order (< first <= nnz); an empty one reads the
+    # zero row at nnz
+    sums_index = np.empty(segments, dtype=index_dtype(nnz))
+    sums_index[order[:first]] = np.arange(first, dtype=sums_index.dtype)
     sums_index[order[first:]] = nnz
     schedule = LaneSchedule(
         sums_index=sums_index,
@@ -202,6 +209,10 @@ class FusedPlanes:
     schedule sums; without one (a segment longer than
     :data:`MAX_LANE_SEGMENT`, or a failed probe) ``order`` is segment-major,
     ascending within each segment, for the batch-major ``reduceat`` pass.
+    ``order`` is stored at the :func:`~repro.serving.kernels.index_dtype`
+    width of ``cols - 1``, and ``lengths`` at that of its longest possible
+    segment (:data:`MAX_LANE_SEGMENT` under a schedule, ``cols`` without):
+    at every served width, one byte per column index and per length.
     """
 
     rows: int
@@ -226,20 +237,21 @@ def _fuse(planes: TernaryPlanes, lanes: bool) -> FusedPlanes:
     """Both sign planes as one gather: lane-scheduled when ``lanes`` allows
     and every segment fits :data:`MAX_LANE_SEGMENT`, segment-major otherwise."""
     lengths = planes.ptr[1:] - planes.ptr[:-1]
+    column = index_dtype(planes.cols - 1)
     if not lanes or lengths.max(initial=0) > MAX_LANE_SEGMENT:
         return FusedPlanes(
             rows=planes.rows,
             cols=planes.cols,
-            order=planes.indices.astype(np.int32),
-            lengths=lengths.astype(np.int32),
+            order=planes.indices.astype(column),
+            lengths=lengths.astype(index_dtype(planes.cols)),
             schedule=None,
         )
     schedule, elements = _lane_layout(lengths, planes.ptr[:-1], planes.nnz)
     return FusedPlanes(
         rows=planes.rows,
         cols=planes.cols,
-        order=planes.indices[elements].astype(np.int32),
-        lengths=lengths.astype(np.uint8),
+        order=planes.indices[elements].astype(column),
+        lengths=lengths.astype(index_dtype(MAX_LANE_SEGMENT)),
         schedule=schedule,
     )
 
@@ -279,9 +291,10 @@ def _lane_matmul(x: np.ndarray, prepared: FusedPlanes, out: np.ndarray) -> None:
     longer batch, is copied C-contiguous by ``take`` itself.  Per chunk row
     the scratch is that transposed input, the ``nnz (+1)``-row slab and the
     ``2 * rows`` gathered sums — all counted against
-    :data:`GATHER_SCRATCH_BYTES`.  Besides them, ``take`` makes one intp
-    copy of the int32 gather order (8 bytes per non-zero weight), whatever
-    the batch.
+    :data:`GATHER_SCRATCH_BYTES`.  Besides them, each ``take`` widens its
+    stored index array to an intp copy for the call: the gather order's is
+    8 bytes per non-zero weight, whatever the batch and whatever width the
+    plan keeps it at.
     """
     schedule = prepared.schedule
     nnz, rows = prepared.order.size, prepared.rows
@@ -401,8 +414,18 @@ class ReferenceBackend(KernelBackend):
     name = "reference"
 
     def prepare(self, planes: TernaryPlanes) -> TernaryPlanes:
-        """The reference executes straight off the CSR planes."""
-        return planes
+        """The CSR planes the reference executes off, with ``indices`` and
+        ``ptr`` copied to their :func:`~repro.serving.kernels.index_dtype`
+        widths (of ``cols - 1`` and ``nnz``).  The copies own their memory,
+        so a plan holds exactly what it counts: the indices
+        :func:`~repro.serving.kernels.decode_planes` returns are a column of
+        ``np.nonzero``'s result, a view that keeps its other column alive."""
+        return TernaryPlanes(
+            rows=planes.rows,
+            cols=planes.cols,
+            indices=planes.indices.astype(index_dtype(planes.cols - 1)),
+            ptr=planes.ptr.astype(index_dtype(planes.nnz)),
+        )
 
     def matmul(self, x: np.ndarray, prepared: TernaryPlanes) -> np.ndarray:
         """Two gather-accumulate passes (profiling is recorded inside)."""

@@ -91,8 +91,9 @@ def decode_layer(record: LayerRecord, backend: Optional[KernelBackend] = None) -
     """Decode one :class:`LayerRecord` into an executable :class:`LayerPlan`.
 
     ``backend`` prepares the decoded planes into its execution layout; the
-    default is the reference backend, whose prepared layout *is* the CSR
-    planes — existing callers keep seeing ``TernaryPlanes`` on the plan.
+    default is the reference backend, whose prepared layout is the CSR
+    planes at their narrowest index widths — existing callers keep seeing
+    ``TernaryPlanes`` on the plan.
     A record with ``meta["block_rows"]`` (the stacked tree) gets a
     block-diagonal W_c: block ``b`` reads only hidden columns
     ``[b*r, (b+1)*r)``, its own node's.

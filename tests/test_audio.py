@@ -92,6 +92,41 @@ class TestMel:
         with pytest.raises(ConfigError):
             mel_filterbank(10, 512, 16000, low_hz=9000.0)
 
+    def test_filterbank_matches_the_per_filter_loop(self):
+        """The broadcast bank has the bytes of the per-filter loop it
+        replaced, filters narrower than one bin included."""
+        narrow = 0
+        for num_filters in (1, 10, 40, 128):
+            for fft_length in (64, 512, 1024):
+                for sample_rate in (8000, 16000, 22050):
+                    for low_hz, high_hz in ((0.0, None), (20.0, None), (300.0, 3400.0)):
+                        args = (num_filters, fft_length, sample_rate, low_hz, high_hz)
+                        got = mel_filterbank(*args)
+                        want = looped_filterbank(*args)
+                        assert got.dtype == want.dtype and got.shape == want.shape, args
+                        assert got.tobytes() == want.tobytes(), args
+                        top = sample_rate / 2.0 if high_hz is None else high_hz
+                        mels = np.linspace(hz_to_mel(low_hz), hz_to_mel(top), num_filters + 2)
+                        narrow += np.diff(mel_to_hz(mels)).min() < sample_rate / fft_length
+        assert narrow  # some grid points have filters narrower than one bin
+
+
+def looped_filterbank(num_filters, fft_length, sample_rate, low_hz=20.0, high_hz=None):
+    """The per-filter loop ``mel_filterbank`` used to run, kept as its reference."""
+    if high_hz is None:
+        high_hz = sample_rate / 2.0
+    bins = fft_length // 2 + 1
+    mel_points = np.linspace(hz_to_mel(low_hz), hz_to_mel(high_hz), num_filters + 2)
+    hz_points = mel_to_hz(mel_points)
+    bin_freqs = np.linspace(0.0, sample_rate / 2.0, bins)
+    bank = np.zeros((num_filters, bins))
+    for m in range(num_filters):
+        left, centre, right = hz_points[m], hz_points[m + 1], hz_points[m + 2]
+        up = (bin_freqs - left) / max(centre - left, 1e-12)
+        down = (right - bin_freqs) / max(right - centre, 1e-12)
+        bank[m] = np.clip(np.minimum(up, down), 0.0, None)
+    return bank
+
 
 class TestDCT:
     def test_orthonormal_rows(self):

@@ -11,6 +11,8 @@ lane schedule is also checked segment by segment against
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from repro.serving.kernels import (
     TernaryPlanes,
     decode_planes,
     gather_chunk_rows,
+    index_dtype,
     ternary_matmul,
 )
 from repro.serving.kernels_fast import (
@@ -177,7 +180,7 @@ class TestScratchBound:
 
     def test_fused_peak_scratch_respects_budget(self, monkeypatch):
         """One fused matmul's traced peak stays within the budget plus its
-        output, NumPy's intp copy of the int32 gather order, and the array
+        output, NumPy's intp copy of the stored gather order, and the array
         headers of one chunk's views (a fixed 2 KiB)."""
         import tracemalloc
 
@@ -262,10 +265,9 @@ BOUNDARY_LENGTHS = (0, 1, 2, 8, 9, 10, 16, 17, 128, 129, 130)
 LONGEST = 140
 
 
-def segment_planes(rng, plus_lengths, minus_lengths) -> TernaryPlanes:
+def segment_planes(rng, plus_lengths, minus_lengths, cols: int = 2 * LONGEST) -> TernaryPlanes:
     """Planes whose row ``j`` has ``plus_lengths[j]`` +1 and
     ``minus_lengths[j]`` −1 entries at distinct random columns."""
-    cols = 2 * LONGEST
     plus, minus = [], []
     for p, m in zip(plus_lengths, minus_lengths):
         picked = rng.permutation(cols)[: p + m]
@@ -363,6 +365,118 @@ class TestReduceatOrder:
         assert prepared.schedule is not None
         x = (rng.standard_normal((5, 40)) * 10).astype(dtype)
         assert_bitwise(FusedBackend().matmul(x, prepared), ternary_matmul(x, planes))
+
+
+def narrowest(bound: int) -> np.dtype:
+    """The narrowest unsigned dtype whose range reaches ``bound`` (intp past
+    uint32, which ``reduceat`` does not take as indices)."""
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        if bound < 2 ** (8 * np.dtype(dtype).itemsize):
+            return np.dtype(dtype)
+    return np.dtype(np.intp)
+
+
+def kept_indices(prepared):
+    """Each index array a prepared plane keeps, with the largest value it
+    may hold: a column, a segment length, a slab row, a CSR bound or a lane."""
+    if isinstance(prepared, TernaryPlanes):
+        return [(prepared.indices, prepared.cols - 1), (prepared.ptr, prepared.nnz)]
+    schedule = prepared.schedule
+    longest = prepared.cols if schedule is None else MAX_LANE_SEGMENT
+    kept = [(prepared.order, prepared.cols - 1), (prepared.lengths, longest)]
+    if schedule is not None:
+        kept.append((schedule.sums_index, prepared.nnz))
+        if schedule.lane_order is not None:
+            kept.append((schedule.lane_order, schedule.lanes - 1))
+    return kept
+
+
+def split_lengths(rng, total: int, parts: int) -> np.ndarray:
+    """``parts`` segment lengths summing to ``total``, within one of each other."""
+    lengths = np.full(parts, total // parts)
+    lengths[rng.permutation(parts)[: total % parts]] += 1
+    return lengths
+
+
+def boundary_planes(rng, kind: str, value: int) -> TernaryPlanes:
+    """Planes at one edge of an index width: ``cols`` of ``value`` (the top
+    column used), ``long`` the same with a 130-entry segment (no schedule),
+    ``nnz`` of exactly ``value`` with an empty segment (so the zero-row
+    sentinel ``nnz`` is stored), or ``lanes`` lane segments of 9 and 17
+    entries (so ``lane_order`` is kept)."""
+    if kind in ("cols", "long"):
+        plus = rng.integers(0, 12, size=3)
+        minus = rng.integers(0, 12, size=3)
+        plus[0] += 1
+        if kind == "long":
+            minus[1] = MAX_LANE_SEGMENT + 1
+        planes = segment_planes(rng, plus, minus, cols=value)
+        planes.indices[plus[0] - 1] = value - 1  # row 0's largest +1 column is the last
+        return planes
+    if kind == "nnz":
+        rows = 4 if value < 1000 else 300
+        lengths = np.zeros(2 * rows, dtype=int)
+        lengths[1:] = split_lengths(rng, value, 2 * rows - 1)
+        rng.shuffle(lengths)
+        return segment_planes(rng, lengths[:rows], lengths[rows:], cols=300)
+    lengths = np.ones(2 * 129, dtype=int)
+    lengths[:value] = rng.choice([9, 17], size=value)
+    lengths[:2] = (9, 17)  # a 17 after a 9: the blocks need lane_order
+    return segment_planes(rng, lengths[:129], lengths[129:], cols=300)
+
+
+#: each width's edges: columns either side of 256 and 65,536 columns,
+#: schedule-less lengths of 256 columns, slab rows and CSR bounds at nnz
+#: 255/256 and 65,535/65,536, and 256/257 lanes
+WIDTH_EDGES = (
+    [("cols", c) for c in (255, 256, 257, 65_535, 65_536, 65_537)]
+    + [("long", c) for c in (255, 256, 257)]
+    + [("nnz", n) for n in (255, 256, 65_535, 65_536)]
+    + [("lanes", k) for k in (256, 257)]
+)
+
+
+class TestIndexWidths:
+    """Every index array a plan keeps is stored at the narrowest unsigned
+    width its largest possible value needs, and no width moves a bit."""
+
+    def test_index_dtype_edges(self):
+        assert index_dtype(-1) == index_dtype(0) == index_dtype(255) == np.uint8
+        assert index_dtype(256) == index_dtype(65_535) == np.uint16
+        assert index_dtype(65_536) == index_dtype(2**32 - 1) == np.uint32
+        assert index_dtype(2**32) == np.intp
+
+    @pytest.mark.parametrize("kind,value", WIDTH_EDGES)
+    @settings(max_examples=3, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
+    def test_widths_at_their_edges(self, kind, value, seed):
+        rng = np.random.default_rng(seed)
+        planes = boundary_planes(rng, kind, value)
+        prepared = {name: resolve_backend(name).prepare(planes) for name in BACKENDS}
+        fused = prepared["fused"]
+        if kind in ("cols", "long"):
+            assert planes.cols == value and planes.indices.max() == value - 1
+            assert (fused.schedule is None) == (kind == "long")
+        elif kind == "nnz":
+            assert planes.nnz == value and fused.schedule.zero_row
+        else:
+            assert fused.schedule.lanes == value and fused.schedule.lane_order is not None
+        for name, plane in prepared.items():
+            for array, bound in kept_indices(plane):
+                assert array.dtype == narrowest(bound), (name, array.dtype, bound)
+                assert array.size == 0 or int(array.max()) <= bound, (name, bound)
+        # fusing the narrowed CSR planes lays out the same plan: every
+        # position the layout computes is below nnz, so it fits their width
+        again = FusedBackend().prepare(prepared["reference"])
+        for (array, _), (want, _) in zip(kept_indices(again), kept_indices(fused)):
+            assert array.dtype == want.dtype and array.tobytes() == want.tobytes()
+        for dtype in (np.float32, np.float64, np.int64):
+            for batch in (1, 7):
+                x = values(rng, (batch, planes.cols), dtype, specials=False)
+                want = ternary_matmul(x, planes)  # the unnarrowed intp planes
+                for name, plane in prepared.items():
+                    got = resolve_backend(name).matmul(x, plane)
+                    assert_bitwise(got, want, f"{name} {kind}={value} {dtype.__name__} b{batch}")
 
 
 class TestOutputLayout:
@@ -472,17 +586,68 @@ class TestNarrowAccumulation:
             assert got[0, 0] == i64min
 
 
+#: (image ``total_bytes()``, fused and reference ``decoded_bytes()``) of the
+#: seeded, frozen w8 and w64 models; a change that moves one on purpose
+#: updates the pin
+PLAN_SIZES = {8: (3_721, 7_988, 7_122), 64: (14_249, 35_288, 32_153)}
+
+
+def plan_arrays(node, found: dict) -> None:
+    """Collect, by identity, every ndarray reachable from a plan's fields."""
+    if isinstance(node, np.ndarray):
+        found[id(node)] = node
+    elif dataclasses.is_dataclass(node):
+        for field in dataclasses.fields(node):
+            plan_arrays(getattr(node, field.name), found)
+    elif isinstance(node, (tuple, list)):  # a LaneSchedule is a NamedTuple
+        for item in node:
+            plan_arrays(item, found)
+    elif isinstance(node, dict):
+        for item in node.values():
+            plan_arrays(item, found)
+
+
 class TestPlanAccounting:
     def test_fused_planes_nbytes_and_nnz(self):
         planes = planes_for(ternary(np.random.default_rng(10), 6, 12, 0.5))
         prepared = FusedBackend().prepare(planes)
         assert isinstance(prepared, FusedPlanes)
         assert (prepared.rows, prepared.cols, prepared.nnz) == (6, 12, planes.nnz)
-        assert prepared.order.dtype == np.int32  # one int32 gather order
+        assert prepared.order.dtype == narrowest(prepared.cols - 1)  # a byte per column
         assert prepared.nbytes == (
             prepared.order.nbytes + prepared.lengths.nbytes + prepared.schedule.nbytes
         )
         assert prepared.nbytes < planes.nbytes
+
+    @pytest.mark.parametrize("name", BACKENDS)
+    @pytest.mark.parametrize("width", [8, 16, 64])
+    def test_decoded_bytes_counts_every_array(self, width, name):
+        """``decoded_bytes()`` is the bytes of every distinct array the
+        cached plans reach, and each owns its memory: a view would keep its
+        base alive uncounted."""
+        from repro.serving import PackedModel
+
+        packed = PackedModel(tiny_model_image(width), kernel=name)
+        found = {}
+        for plan in packed._plans.values():
+            plan_arrays(plan, found)
+        assert packed.decoded_bytes() == sum(array.nbytes for array in found.values())
+        assert all(array.base is None for array in found.values())
+
+    @pytest.mark.parametrize("width", sorted(PLAN_SIZES))
+    def test_seeded_plan_sizes_are_pinned(self, width):
+        """The image and plan sizes of the seeded models the end-to-end
+        benchmark serves, exactly: a change that grows a plan fails here."""
+        from repro.deploy.image import ModelImage
+        from repro.serving import PackedModel
+
+        image = ModelImage.from_bytes(tiny_model_image(width).to_bytes())
+        sizes = (
+            image.total_bytes(),
+            PackedModel(image).decoded_bytes(),
+            PackedModel(image, kernel="reference").decoded_bytes(),
+        )
+        assert sizes == PLAN_SIZES[width]
 
     def test_packed_model_kernel_selection(self):
         from repro.serving import PackedModel
